@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import locale
 import os
 import tempfile
 from typing import Sequence
@@ -13,15 +14,21 @@ import numpy as np
 RNG_ALGORITHM = "philox-4x64"
 
 
-def make_rng(entropy: Sequence[int]) -> np.random.Generator:
-    """Build a counter-based generator keyed by a list of integers.
+def seed_entropy(seed: int | Sequence[int]) -> list[int]:
+    """Normalize a seed, an int or a sequence of ints, to an entropy list."""
+    return [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+
+
+def make_rng(seed: int | Sequence[int]) -> np.random.Generator:
+    """Build a counter-based generator keyed by an int or a list of integers.
 
     Philox is counter-based: streams keyed by distinct entropy lists are
     statistically independent, so ``[seed, episode]`` or ``[seed, fold, run]``
     give reproducible per-unit streams with no cross-talk. List keying avoids
     the collisions that XOR-combining components would produce (0^1 == 1^0).
+    An int ``n`` keys the same stream as ``[n]``.
     """
-    ss = np.random.SeedSequence(list(entropy))
+    ss = np.random.SeedSequence(seed_entropy(seed))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -34,22 +41,8 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write a file via temp-and-rename so readers never observe a torn file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write a file via temp-and-rename so readers never observe a torn file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -61,6 +54,16 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Text form of :func:`atomic_write_bytes`, encoded as text-mode ``open`` encodes."""
+    atomic_write_bytes(path, text.encode(locale.getpreferredencoding(False)))
+
+
+def write_json_document(path: str, obj) -> None:
+    """Atomically write an indented, key-sorted JSON document for people to read."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def float_repr(x: float) -> str:

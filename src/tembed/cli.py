@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from ._util import atomic_write_text, float_repr
+from ._util import atomic_write_text, float_repr, write_json_document
 from .benchgen import SynthConfig, gen_dataset, synth_schema
 from .dataset import (
     NormStats,
@@ -98,8 +98,12 @@ def _fail_if(problems: list[str]) -> None:
         raise CliError("config problems:\n  " + "\n  ".join(problems))
 
 
-def _write_json(path: str, obj: dict) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _as_float(value) -> float:
+    """``float(value)``, or NaN, which range checks reject, for a non-number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return float("nan")
 
 
 def cmd_gen(args) -> int:
@@ -130,7 +134,7 @@ def cmd_gen(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     write_csv(episodes, schema, os.path.join(out_dir, DATA_FILE), os.path.join(out_dir, LABELS_FILE))
     save_schema(os.path.join(out_dir, SCHEMA_FILE), schema)
-    _write_json(os.path.join(out_dir, MANIFEST_FILE), manifest)
+    write_json_document(os.path.join(out_dir, MANIFEST_FILE), manifest)
     print(f"wrote {n_episodes} episodes to {out_dir}")
     for key, value in sorted(manifest["class_balance"].items()):
         print(f"{key}: {value:.4f}")
@@ -152,7 +156,7 @@ def _build_model_spec(model: dict, task: str, window: float, problems: list[str]
         max_time = model.get("te_max_time", window)
         try:
             te_cfg = EncoderConfig.temporal(dim, max_time)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             problems.append(f"model: {exc}")
             return None
     attention = None
@@ -230,10 +234,11 @@ def cmd_train(args) -> int:
         problems.append(f"task must be 'classification' or 'regression', got {task!r}")
     features = dict(config.get("features", {}))
     _check_keys(features, {"window", "bin_width"}, "features", problems)
-    window = float(features.get("window", 48.0))
-    bin_width = float(features.get("bin_width", 1.0))
-    if window <= 0 or bin_width <= 0:
-        problems.append("features.window and features.bin_width must be positive")
+    window = _as_float(features.get("window", 48.0))
+    bin_width = _as_float(features.get("bin_width", 1.0))
+    if not (window > 0 and bin_width > 0):
+        problems.append("features.window and features.bin_width must be positive numbers, got "
+                        f"{features.get('window', 48.0)!r} and {features.get('bin_width', 1.0)!r}")
 
     train_cfg = dict(config.get("train", {}))
     _check_keys(train_cfg, _TRAIN_KEYS, "train", problems)
@@ -305,20 +310,24 @@ def cmd_train(args) -> int:
         "selected_folds": sorted(selected),
         "norm_stats": stats.to_dict(),
     }
-    _write_json(os.path.join(out_dir, EXPERIMENT_FILE), experiment)
+    write_json_document(os.path.join(out_dir, EXPERIMENT_FILE), experiment)
     for line in report_summary_lines(report):
         print(line)
     print(f"wrote {out_dir}")
     return 0
 
 
-def _parse_fractions(raw: str) -> list[float]:
+def _parse_fractions(values, source: str, problems: list[str]) -> list[float] | None:
+    """Check keep fractions from --keep-fractions or the config: one or more numbers
+    in (0, 1], returned unique and descending, or None after recording a problem."""
     try:
-        fractions = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"--keep-fractions must be comma-separated numbers, got {raw!r}") from None
+        fractions = [float(v) for v in values]
+    except (TypeError, ValueError):
+        problems.append(f"{source} must be comma-separated numbers, got {values!r}")
+        return None
     if not fractions or any(not (0 < f <= 1) for f in fractions):
-        raise CliError(f"keep fractions must lie in (0, 1], got {raw!r}")
+        problems.append(f"{source} must be one or more numbers in (0, 1], got {values!r}")
+        return None
     return sorted(set(fractions), reverse=True)
 
 
@@ -328,21 +337,21 @@ def cmd_sweep(args) -> int:
     _check_keys(config, {"run_dir", "fractions", "seed", "out"}, "top level", problems)
     run_dir = args.run_dir or config.get("run_dir")
     _require(run_dir is not None, "no training run directory (config 'run_dir' or --run-dir)", problems)
+    if args.keep_fractions:
+        tokens = [tok for tok in args.keep_fractions.split(",") if tok.strip()]
+        fractions = _parse_fractions(tokens, "--keep-fractions", problems)
+    elif "fractions" in config:
+        fractions = _parse_fractions(config["fractions"], "config fractions", problems)
+    else:
+        fractions = list(DEFAULT_FRACTIONS)
+    if not isinstance(config.get("seed", 0), int):
+        problems.append(f"seed must be an integer, got {config['seed']!r}")
     _fail_if(problems)
     exp_path = os.path.join(run_dir, EXPERIMENT_FILE)
     if not os.path.exists(exp_path):
         raise CliError(f"no {EXPERIMENT_FILE} in {run_dir}; run `tembed train` first")
     with open(exp_path) as fh:
         experiment = json.load(fh)
-
-    if args.keep_fractions:
-        fractions = _parse_fractions(args.keep_fractions)
-    elif "fractions" in config:
-        fractions = sorted({float(f) for f in config["fractions"]}, reverse=True)
-        if any(not (0 < f <= 1) for f in fractions):
-            raise CliError("config fractions must lie in (0, 1]")
-    else:
-        fractions = list(DEFAULT_FRACTIONS)
     seed = args.seed if args.seed is not None else config.get("seed", experiment["seed"])
 
     spec = ModelSpec.from_dict(experiment["spec"])
@@ -367,7 +376,7 @@ def cmd_sweep(args) -> int:
     rows = sweep_dropout(spec, selected_params, test, schema,
                          experiment["window"], experiment["bin_width"],
                          fractions=fractions, base_seed=seed)
-    out_dir = args.out or run_dir
+    out_dir = args.out or config.get("out") or run_dir
     out_path = os.path.join(out_dir, SWEEP_CSV)
     _refuse_existing(out_path, args.force)
     os.makedirs(out_dir, exist_ok=True)
@@ -449,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="JSON sweep config")
     p_sweep.add_argument("--run-dir", help="directory written by `tembed train`")
     p_sweep.add_argument("--keep-fractions", help="comma-separated fractions, e.g. 1.0,0.5,0.1")
-    p_sweep.add_argument("--out", help="output directory (default: the run directory)")
+    p_sweep.add_argument("--out", help="output directory (overrides config; default: the run directory)")
     p_sweep.add_argument("--seed", type=int, help="override the dropout seed")
     p_sweep.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p_sweep.set_defaults(func=cmd_sweep)

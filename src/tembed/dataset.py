@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, float_repr, make_rng
+from ._util import atomic_write_text, float_repr, make_rng, write_json_document
 from .encoding import EncoderConfig, te_batch
 
 HOURS_PER_DAY = 24.0
@@ -116,7 +116,7 @@ class Schema:
 
 
 def save_schema(path: str, schema: Schema) -> None:
-    atomic_write_text(path, json.dumps(schema.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json_document(path, schema.to_dict())
 
 
 def load_schema(path: str) -> Schema:
@@ -274,9 +274,7 @@ def load_csv(data_path: str, schema: Schema, label_path: str | None = None) -> l
     with open(data_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            return []
-        if header != DATA_HEADER:
+        if header not in (None, DATA_HEADER):
             raise ValueError(f"{data_path}: expected header {','.join(DATA_HEADER)}, got {header}")
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -521,9 +519,7 @@ def drop_observations(series: IrregularSeries, keep_fraction: float, rng_seed) -
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     if keep_fraction == 1.0:
         return replace(series)
-    entropy = [rng_seed] if isinstance(rng_seed, (int, np.integer)) else list(rng_seed)
-    rng = make_rng(entropy)
-    keep = rng.random(series.n_obs) < keep_fraction
+    keep = make_rng(rng_seed).random(series.n_obs) < keep_fraction
     return IrregularSeries(
         episode_id=series.episode_id,
         times=series.times[keep],
@@ -541,9 +537,18 @@ def _canonical_permutation(episodes: Sequence[IrregularSeries], rng_seed) -> lis
     if len(set(ids)) != len(ids):
         raise ValueError("episode ids must be unique")
     by_id = sorted(range(len(ids)), key=lambda i: ids[i])
-    entropy = [rng_seed] if isinstance(rng_seed, (int, np.integer)) else list(rng_seed)
-    rng = make_rng(entropy)
-    return [by_id[j] for j in rng.permutation(len(by_id))]
+    return [by_id[j] for j in make_rng(rng_seed).permutation(len(by_id))]
+
+
+def _label_groups(episodes: Sequence[IrregularSeries], perm: list[int]) -> list[list[int]]:
+    """Episode indices grouped by label in ascending label order, each
+    group keeping the order of ``perm``."""
+    groups: dict[float, list[int]] = {}
+    for i in perm:
+        if episodes[i].label is None:
+            raise ValueError("stratified split needs a label on every episode")
+        groups.setdefault(float(episodes[i].label), []).append(i)
+    return [groups[key] for key in sorted(groups)]
 
 
 def split_folds(
@@ -565,16 +570,7 @@ def split_folds(
         raise ValueError(f"cannot split {len(episodes)} episodes into {k} folds")
     perm = _canonical_permutation(episodes, rng_seed)
 
-    if stratify:
-        for i in perm:
-            if episodes[i].label is None:
-                raise ValueError("stratified split needs a label on every episode")
-        groups: dict[float, list[int]] = {}
-        for i in perm:
-            groups.setdefault(float(episodes[i].label), []).append(i)
-        ordered = [i for key in sorted(groups) for i in groups[key]]
-    else:
-        ordered = perm
+    ordered = [i for group in _label_groups(episodes, perm) for i in group] if stratify else perm
 
     fold = np.empty(len(episodes), dtype=np.int64)
     for position, i in enumerate(ordered):
@@ -591,17 +587,12 @@ def train_test_split(
     """Carve a held-out test set off the pool, order-invariantly and seeded."""
     if not (0 < test_fraction < 1):
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not episodes:
+        raise ValueError("cannot split an empty set of episodes")
     perm = _canonical_permutation(episodes, rng_seed)
     if stratify:
-        for i in perm:
-            if episodes[i].label is None:
-                raise ValueError("stratified split needs a label on every episode")
-        groups: dict[float, list[int]] = {}
-        for i in perm:
-            groups.setdefault(float(episodes[i].label), []).append(i)
         test_idx: set[int] = set()
-        for key in sorted(groups):
-            members = groups[key]
+        for members in _label_groups(episodes, perm):
             n_test = int(round(len(members) * test_fraction))
             test_idx.update(members[:n_test])
     else:

@@ -202,8 +202,7 @@ def init_params(spec: ModelSpec, input_dim: int, rng_seed) -> dict[str, np.ndarr
     """
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    entropy = [rng_seed] if isinstance(rng_seed, (int, np.integer)) else list(rng_seed)
-    rng = make_rng(entropy)
+    rng = make_rng(rng_seed)
     params: dict[str, np.ndarray] = {}
 
     def draw(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -286,9 +285,7 @@ class ForwardTrace:
     """Activations cached by forward for the exact backward pass."""
 
     spec: ModelSpec
-    single: bool
     x: np.ndarray
-    flat: np.ndarray | None = None
     gates_i: np.ndarray | None = None
     gates_f: np.ndarray | None = None
     gates_g: np.ndarray | None = None
@@ -299,8 +296,6 @@ class ForwardTrace:
     Hp: np.ndarray | None = None
     U: np.ndarray | None = None
     A: np.ndarray | None = None
-    Mmat: np.ndarray | None = None
-    feed: np.ndarray | None = None
     dense_inputs: list[np.ndarray] = field(default_factory=list)
     dense_pre: list[np.ndarray] = field(default_factory=list)
     z_out: np.ndarray | None = None
@@ -437,7 +432,7 @@ def forward(spec: ModelSpec, params: dict, features, grid_times=None):
     if x.ndim != 3:
         raise ValueError(f"features must be (steps, width) or (batch, steps, width), got {x.shape}")
     _check_finite(x, "input")
-    trace = ForwardTrace(spec=spec, single=single, x=x)
+    trace = ForwardTrace(spec=spec, x=x)
     B, T, width = x.shape
 
     if spec.recurrent:
@@ -462,13 +457,10 @@ def forward(spec: ModelSpec, params: dict, features, grid_times=None):
             scores = scores - scores.max(axis=2, keepdims=True)
             expd = np.exp(scores)
             A = expd / expd.sum(axis=2, keepdims=True)
-            Mmat = A @ Hp
-            trace.U, trace.A, trace.Mmat = U, A, Mmat
-            feed = Mmat.reshape(B, -1)
+            trace.U, trace.A = U, A
+            feed = (A @ Hp).reshape(B, -1)
     else:
         feed = x.reshape(B, T * width)
-        trace.flat = feed
-    trace.feed = feed
 
     z = _dense_forward(spec, params, feed, trace)
     _check_finite(z, "output")

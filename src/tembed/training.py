@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, make_rng
+from ._util import canonical_json, make_rng, seed_entropy
 from .dataset import (
     BinnedEpisode,
     IrregularSeries,
@@ -278,7 +278,7 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
     validation metric is still measured, so selection stays well defined).
     A non-finite loss, gradient, or activation raises DivergenceError.
     """
-    entropy = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    entropy = seed_entropy(seed)
     steps, width = train_data.X.shape[1], train_data.X.shape[2]
     params = init_params(spec, model_input_width(spec, steps, width), entropy + [0])
     rng = make_rng(entropy + [1])

@@ -298,6 +298,49 @@ class TestSweep:
         assert code == 0
         assert os.path.exists(os.path.join(out, "sweep.csv"))
 
+    def test_output_directory_from_flag_then_config(self, run_dir, tmp_path, capsys):
+        from_config, from_flag = str(tmp_path / "from_config"), str(tmp_path / "from_flag")
+        cfg = write_config(tmp_path, {"run_dir": run_dir, "fractions": [1.0], "out": from_config})
+        assert run(["sweep", "--config", cfg], capsys)[0] == 0
+        assert os.path.exists(os.path.join(from_config, "sweep.csv"))
+        assert run(["sweep", "--config", cfg, "--out", from_flag], capsys)[0] == 0
+        assert os.path.exists(os.path.join(from_flag, "sweep.csv"))
+
+
+@pytest.mark.parametrize("command,config,messages", [
+    ("train", {"features": {"window": None}}, ["features.window"]),
+    ("train", {"features": {"window": "abc"}, "train": {"k": 1}},
+     ["features.window", "'abc'", "train.k must be"]),
+    ("train", {"model": {"family": "lstm", "hidden": 4, "te_mode": "cat_te", "te_max_time": None}},
+     ["model: "]),
+    ("sweep", {"seed": 1.5}, ["seed must be an integer, got 1.5"]),
+    ("sweep", {"fractions": []}, ["config fractions must be one or more numbers in (0, 1]"]),
+    ("sweep", {"fractions": ["a"]}, ["config fractions must be comma-separated numbers"]),
+], ids=["window-null", "window-not-a-number", "te-max-time-null", "sweep-seed-float",
+        "fractions-empty", "fractions-not-numbers"])
+def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages):
+    if command == "train":
+        config = dict(TRAIN_CONFIG, out=str(tmp_path / "o"), **config)
+    else:
+        config = dict(run_dir=run_dir, out=str(tmp_path / "o"), **config)
+    code, _, stderr = run([command, "--config", write_config(tmp_path, config)], capsys)
+    assert code == 1
+    assert "config problems" in stderr
+    for message in messages:
+        assert message in stderr
+
+
+def test_train_on_empty_dataset_is_an_error(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "data.csv").write_text("")
+    (data_dir / "labels.csv").write_text("episode_id,label\n")
+    (data_dir / "schema.json").write_text('{"channels": [{"name": "hr", "kind": "real"}]}')
+    cfg = write_config(tmp_path, dict(TRAIN_CONFIG, data={"dir": str(data_dir)}, out=str(tmp_path / "o")))
+    code, _, stderr = run(["train", "--config", cfg], capsys)
+    assert code == 1
+    assert "empty" in stderr
+
 
 class TestEncode:
     def write_times(self, tmp_path, rows, header="t"):

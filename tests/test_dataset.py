@@ -211,6 +211,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="labels without episodes"):
             load_csv(str(data), REAL1, str(labels))
 
+    def test_empty_file_with_labels_reports_orphans(self, tmp_path):
+        data, labels = tmp_path / "d.csv", tmp_path / "l.csv"
+        data.write_text("")
+        labels.write_text("episode_id,label\ne1,1.0\n")
+        with pytest.raises(ValueError, match="labels without episodes"):
+            load_csv(str(data), REAL1, str(labels))
+
     def test_duplicate_label_is_an_error(self, tmp_path):
         labels = tmp_path / "l.csv"
         labels.write_text("episode_id,label\ne1,1.0\ne1,0.0\n")
@@ -576,6 +583,16 @@ class TestSplits:
         for frac in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 train_test_split(pool, frac, rng_seed=0)
+
+    def test_train_test_split_stratified_requires_labels(self):
+        pool = [series(f"e{i}", [1.0], [0], [1.0]) for i in range(10)]
+        with pytest.raises(ValueError, match="label"):
+            train_test_split(pool, 0.2, rng_seed=0)
+
+    @pytest.mark.parametrize("stratify", [True, False])
+    def test_train_test_split_rejects_empty_pool(self, stratify):
+        with pytest.raises(ValueError, match="empty"):
+            train_test_split([], 0.2, rng_seed=0, stratify=stratify)
 
 
 class TestLabelConvert:
