@@ -146,12 +146,14 @@ _MODEL_KEYS = {"family", "hidden", "te_mode", "te_dim", "te_max_time",
 _TRAIN_KEYS = {"lr", "epochs", "batch_size", "weight_decay", "k", "runs_per_fold"}
 
 
-def _build_model_spec(model: dict, task: str, window: float, problems: list[str]) -> ModelSpec | None:
+def _build_model_spec(model: dict, task: str, window: float | None, problems: list[str]) -> ModelSpec | None:
     _check_keys(model, _MODEL_KEYS, "model", problems)
     family = model.get("family")
     te_mode = model.get("te_mode", "none")
     te_cfg = None
     if te_mode in ("cat_te", "add_te"):
+        if window is None and "te_max_time" not in model:
+            return None  # te_max_time defaults to features.window, whose problem is reported
         dim = model.get("te_dim", 32)
         max_time = model.get("te_max_time", window)
         try:
@@ -265,7 +267,7 @@ def cmd_train(args) -> int:
 
     spec = None
     if task in ("classification", "regression") and isinstance(config.get("model"), dict):
-        spec = _build_model_spec(config["model"], task, window, problems)
+        spec = _build_model_spec(config["model"], task, window if window > 0 else None, problems)
     loaded = None
     if isinstance(config.get("data"), dict):
         loaded = _load_dataset(config["data"], problems)

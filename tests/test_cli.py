@@ -307,18 +307,22 @@ class TestSweep:
         assert os.path.exists(os.path.join(from_flag, "sweep.csv"))
 
 
-@pytest.mark.parametrize("command,config,messages", [
-    ("train", {"features": {"window": None}}, ["features.window"]),
+CAT_TE_LSTM = {"family": "lstm", "hidden": 4, "te_mode": "cat_te"}
+
+
+@pytest.mark.parametrize("command,config,messages,n_problems", [
+    ("train", {"features": {"window": None}}, ["features.window"], 1),
+    ("train", {"features": {"window": None}, "model": CAT_TE_LSTM}, ["features.window"], 1),
     ("train", {"features": {"window": "abc"}, "train": {"k": 1}},
-     ["features.window", "'abc'", "train.k must be"]),
-    ("train", {"model": {"family": "lstm", "hidden": 4, "te_mode": "cat_te", "te_max_time": None}},
-     ["model: "]),
-    ("sweep", {"seed": 1.5}, ["seed must be an integer, got 1.5"]),
-    ("sweep", {"fractions": []}, ["config fractions must be one or more numbers in (0, 1]"]),
-    ("sweep", {"fractions": ["a"]}, ["config fractions must be comma-separated numbers"]),
-], ids=["window-null", "window-not-a-number", "te-max-time-null", "sweep-seed-float",
-        "fractions-empty", "fractions-not-numbers"])
-def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages):
+     ["features.window", "'abc'", "train.k must be"], 2),
+    ("train", {"model": dict(CAT_TE_LSTM, te_max_time=None)}, ["model: "], 1),
+    ("train", {"train": {"epochs": 1.5}}, ["train: epochs must be an integer >= 0, got 1.5"], 1),
+    ("sweep", {"seed": 1.5}, ["seed must be an integer, got 1.5"], 1),
+    ("sweep", {"fractions": []}, ["config fractions must be one or more numbers in (0, 1]"], 1),
+    ("sweep", {"fractions": ["a"]}, ["config fractions must be comma-separated numbers"], 1),
+], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
+        "epochs-float", "sweep-seed-float", "fractions-empty", "fractions-not-numbers"])
+def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
     if command == "train":
         config = dict(TRAIN_CONFIG, out=str(tmp_path / "o"), **config)
     else:
@@ -328,6 +332,8 @@ def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, conf
     assert "config problems" in stderr
     for message in messages:
         assert message in stderr
+    problem_lines = [line for line in stderr.splitlines() if line.startswith("  ")]
+    assert len(problem_lines) == n_problems, stderr
 
 
 def test_train_on_empty_dataset_is_an_error(tmp_path, capsys):

@@ -73,9 +73,11 @@ class TestHyper:
     def test_zero_epochs_allowed(self):
         assert Hyper(epochs=0).epochs == 0
 
-    @pytest.mark.parametrize(
-        "kw", [{"lr": 0.0}, {"lr": -1.0}, {"epochs": -1}, {"batch_size": 0}, {"weight_decay": -0.1}]
-    )
+    @pytest.mark.parametrize("kw", [
+        {"lr": 0.0}, {"lr": -1.0}, {"epochs": -1}, {"batch_size": 0}, {"weight_decay": -0.1},
+        {"epochs": 1.5}, {"epochs": 2.0}, {"epochs": True}, {"epochs": "3"}, {"epochs": np.int64(3)},
+        {"batch_size": 8.5}, {"batch_size": 16.0}, {"batch_size": True},
+    ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             Hyper(**kw)
