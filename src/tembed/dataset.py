@@ -1,11 +1,11 @@
 """Irregular multivariate series and their fixed-grid feature views.
 
 The pipeline goes: load (or generate) :class:`IrregularSeries`, fit
-normalization stats on training episodes only, normalize, bin each series
-onto a fixed time grid (:func:`bin_series`), then widen the binned features
-with either missingness indicators (:func:`attach_mask`) or sinusoidal time
-embeddings of each step's hours since the latest observation
-(:func:`attach_te`). Observation dropout and
+normalization stats on training episodes only, normalize, bin a list of
+series onto a fixed time grid in whole-array passes (:func:`bin_series`),
+then widen the binned features with either missingness indicators
+(:func:`attach_mask`) or sinusoidal time embeddings of each step's hours
+since the latest observation (:func:`attach_te`). Observation dropout and
 fold splitting operate on the series level and are deterministic under
 explicit seeds.
 
@@ -193,34 +193,28 @@ class NormStats:
 
 
 @dataclass
-class BinnedEpisode:
-    """Fixed-grid view of one episode.
+class BinnedBatch:
+    """Fixed-grid view of a list of episodes, stacked on a leading axis.
 
-    ``X`` holds observed/imputed values (one column per real channel,
-    one-hot columns per categorical channel, plus whatever a feature
-    attachment appended). ``M`` marks bins with at least one observation
-    per channel; ``D`` is hours since the channel was last observed, with
-    D[0] = 0 and D[j] = 0 wherever M[j] = 1, else D[j-1] + bin_width.
+    ``X`` (episodes, steps, features) holds observed/imputed values (one
+    column per real channel, one-hot columns per categorical channel, plus
+    whatever a feature attachment appended). ``M`` (episodes, steps,
+    channels) marks bins with at least one observation per channel; ``D``
+    is hours since the channel was last observed, with D[:, 0] = 0 and
+    D[:, j] = 0 wherever M[:, j] = 1, else D[:, j-1] + bin_width.
     ``feature_mode`` records which attachment built X: ``base``, ``mask``
-    (M and D/window appended), or ``te`` (embeddings of ``D.min(axis=1)``,
+    (M and D/window appended), or ``te`` (embeddings of ``D.min(axis=2)``,
     the hours since the latest observation in any channel, appended).
+    ``series`` (the source episodes, in order) carry the ids and labels.
     """
 
-    episode_id: str
+    series: tuple[IrregularSeries, ...]
     grid_times: np.ndarray
     X: np.ndarray
-    M: np.ndarray
-    D: np.ndarray
-    label: float | None
+    M: np.ndarray | None
+    D: np.ndarray | None
     window: float
-    bin_width: float
-    feature_names: tuple[str, ...]
     feature_mode: str = "base"
-    all_missing: bool = False
-
-    @property
-    def steps(self) -> int:
-        return int(self.X.shape[0])
 
 
 def _parse_float(text: str, what: str, line_no: int) -> float:
@@ -395,118 +389,109 @@ def _steps_for(window: float, bin_width: float) -> int:
     return steps
 
 
-def bin_series(
-    series: IrregularSeries,
-    schema: Schema,
-    window: float,
-    bin_width: float,
-    lead_values: np.ndarray | None = None,
-) -> BinnedEpisode:
-    """Place observations on a fixed grid of ceil(window/bin_width) bins.
+def bin_series(series_list: Sequence[IrregularSeries], schema: Schema, window: float,
+               bin_width: float) -> BinnedBatch:
+    """Place every episode on a fixed grid of ceil(window/bin_width) bins.
 
     Within a bin and channel the last observation wins. Unobserved bins
-    are forward-filled; bins before a channel's first observation take
-    ``lead_values`` for real channels (default 0, the training mean of
-    normalized data) and an all-zero one-hot for categorical channels.
-    Observations at or beyond ``window`` are ignored.
+    are forward-filled; bins before a channel's first observation take 0
+    for real channels (the training mean of normalized data) and an
+    all-zero one-hot for categorical channels. Observations at or beyond
+    ``window`` are ignored. Within the concatenated observations of all
+    episodes, a stable sort by (episode, bin, channel) finds each cell's last
+    observation and ``maximum.accumulate`` along the steps forward-fills.
     """
     if not (window > 0 and bin_width > 0):
         raise ValueError(f"window and bin_width must be positive, got {window}, {bin_width}")
-    n_ch = schema.n_channels
-    if lead_values is None:
-        lead_values = np.zeros(n_ch)
-    steps = _steps_for(window, bin_width)
+    series_list = tuple(series_list)
+    n, n_ch, steps = len(series_list), schema.n_channels, _steps_for(window, bin_width)
 
-    raw = np.zeros((steps, n_ch))
-    M = np.zeros((steps, n_ch))
-    in_window = series.times < window
-    times = series.times[in_window]
-    chans = series.channel_idx[in_window]
-    vals = series.values[in_window]
-    bins = np.minimum((times / bin_width).astype(np.int64), steps - 1)
-    for j, ch, v in zip(bins, chans, vals):
-        _check_categorical(v, schema.channels[int(ch)], f"episode {series.episode_id!r}")
-        raw[j, ch] = v
-        M[j, ch] = 1.0
+    episode = np.repeat(np.arange(n), [s.n_obs for s in series_list])
+    times = np.concatenate([s.times for s in series_list] + [np.empty(0)])
+    chans = np.concatenate([s.channel_idx for s in series_list] + [np.empty(0, np.int64)])
+    vals = np.concatenate([s.values for s in series_list] + [np.empty(0)])
+    in_window = times < window
+    episode, chans, vals = episode[in_window], chans[in_window], vals[in_window]
+    bins = np.minimum((times[in_window] / bin_width).astype(np.int64), steps - 1)
+
+    outside = (chans < 0) | (chans >= n_ch)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"episode {series_list[episode[i]].episode_id!r}: channel index "
+                         f"{chans[i]} outside the {n_ch}-channel schema")
+    card = np.array([spec.cardinality or 0 for spec in schema.channels])[chans]
+    bad = (card > 0) & ((vals != np.trunc(vals)) | (vals < 0) | (vals >= card))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_categorical(float(vals[i]), schema.channels[chans[i]],
+                           f"episode {series_list[episode[i]].episode_id!r}")
+
+    cell = (episode * steps + bins) * n_ch + chans
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    last = np.ones(cell.shape[0], dtype=bool)
+    last[:-1] = cell[1:] != cell[:-1]
+    raw = np.zeros((n, steps, n_ch))
+    M = np.zeros((n, steps, n_ch))
+    raw.reshape(-1)[cell[last]] = vals[order[last]]
+    M.reshape(-1)[cell[last]] = 1.0
 
     step_idx = np.arange(steps)
-    seen = np.where(M == 1.0, step_idx[:, None], -1)
-    last_obs = np.maximum.accumulate(seen, axis=0)
-    D = (step_idx[:, None] - np.maximum(last_obs, 0)) * bin_width
+    last_obs = np.maximum.accumulate(np.where(M == 1.0, step_idx[:, None], -1), axis=1)
+    source = np.maximum(last_obs, 0)
+    D = (step_idx[:, None] - source) * bin_width
+    filled = np.take_along_axis(raw, source, axis=1)
 
-    columns = []
-    names = []
+    X = np.zeros((n, steps, sum(spec.n_columns for spec in schema.channels)))
+    col = 0
     for ch, spec in enumerate(schema.channels):
-        filled_idx = last_obs[:, ch]
         if spec.kind == "real":
-            col = np.where(filled_idx >= 0, raw[np.maximum(filled_idx, 0), ch], lead_values[ch])
-            columns.append(col[:, None])
-            names.append(spec.name)
+            X[..., col] = filled[..., ch]
         else:
-            onehot = np.zeros((steps, spec.cardinality))
-            observed_rows = filled_idx >= 0
-            cats = raw[np.maximum(filled_idx, 0), ch].astype(np.int64)
-            onehot[step_idx[observed_rows], cats[observed_rows]] = 1.0
-            columns.append(onehot)
-            names.extend(f"{spec.name}={level}" for level in range(spec.cardinality))
-    X = np.hstack(columns)
-    if not np.isfinite(X).all():
-        raise ValueError(f"episode {series.episode_id!r}: non-finite feature after imputation")
+            X[..., col : col + spec.cardinality] = (last_obs[..., ch, None] >= 0) & (
+                filled[..., ch, None].astype(np.int64) == np.arange(spec.cardinality))
+        col += spec.n_columns
 
-    return BinnedEpisode(
-        episode_id=series.episode_id,
-        grid_times=step_idx * float(bin_width),
-        X=X,
-        M=M,
-        D=D,
-        label=series.label,
-        window=float(window),
-        bin_width=float(bin_width),
-        feature_names=tuple(names),
-        all_missing=times.shape[0] == 0,
-    )
+    return BinnedBatch(series=series_list, grid_times=step_idx * float(bin_width),
+                       X=X, M=M, D=D, window=float(window))
 
 
-def attach_mask(ep: BinnedEpisode) -> BinnedEpisode:
+def attach_mask(batch: BinnedBatch) -> BinnedBatch:
     """Append missingness indicators and window-scaled observation gaps to X.
 
     Adds 2 columns per channel: M as-is and D divided by the window so the
     gap feature stays in [0, 1].
     """
-    if ep.feature_mode != "base":
-        raise ValueError(f"features already attached (mode {ep.feature_mode!r})")
-    n_ch = ep.M.shape[1]
-    X = np.hstack([ep.X, ep.M, ep.D / ep.window])
-    names = ep.feature_names + tuple(
-        f"ch{ch}:observed" for ch in range(n_ch)
-    ) + tuple(f"ch{ch}:gapfrac" for ch in range(n_ch))
-    return replace(ep, X=X, feature_names=names, feature_mode="mask")
+    if batch.feature_mode != "base":
+        raise ValueError(f"features already attached (mode {batch.feature_mode!r})")
+    X = np.concatenate([batch.X, batch.M, batch.D / batch.window], axis=2)
+    return replace(batch, X=X, feature_mode="mask")
 
 
-def attach_te(ep: BinnedEpisode, cfg: EncoderConfig) -> BinnedEpisode:
+def attach_te(batch: BinnedBatch, cfg: EncoderConfig) -> BinnedBatch:
     """Append, for each bin, the time embedding of the hours since the
     latest observation in any channel to X.
 
-    That gap is ``ep.D.min(axis=1)``; before the episode's first
+    That gap is ``batch.D.min(axis=2)``; before the episode's first
     observation it counts from the window start, as ``D`` does. The
     embedding varies with each episode's observation times, which is what
     carries irregular sampling into the features. This is the concatenated
     integration: the embedding columns carry the timing, so the mask and
     gap features are left out of the feature set.
     """
-    if ep.feature_mode != "base":
-        raise ValueError(f"features already attached (mode {ep.feature_mode!r})")
+    if batch.feature_mode != "base":
+        raise ValueError(f"features already attached (mode {batch.feature_mode!r})")
     if cfg.base_kind != "temporal":
         raise ValueError("attach_te needs a temporal encoder config")
-    if cfg.max_time < ep.window:
+    if cfg.max_time < batch.window:
         raise ValueError(
-            f"encoder max_time {cfg.max_time:g} is smaller than the window {ep.window:g}; "
+            f"encoder max_time {cfg.max_time:g} is smaller than the window {batch.window:g}; "
             "observation gaps would alias"
         )
-    te_cols = te_batch(ep.D.min(axis=1), cfg)
-    X = np.hstack([ep.X, te_cols])
-    names = ep.feature_names + tuple(f"te_{i}" for i in range(cfg.dim))
-    return replace(ep, X=X, feature_names=names, feature_mode="te")
+    gaps = batch.D.min(axis=2)
+    te_cols = te_batch(gaps.reshape(-1), cfg).reshape(gaps.shape + (cfg.dim,))
+    X = np.concatenate([batch.X, te_cols], axis=2)
+    return replace(batch, X=X, feature_mode="te")
 
 
 def drop_observations(series: IrregularSeries, keep_fraction: float, rng_seed) -> IrregularSeries:

@@ -364,10 +364,13 @@ def _lstm_backward(params: dict, trace: ForwardTrace, dH: np.ndarray, grads: dic
     dO *= TanhC
     dc_dh = O * (1.0 - TanhC ** 2)
     blocks = dgates.reshape(T, B, 4, h_size)
-    dh_next = np.zeros((B, h_size))
+    # The lstm head reads only the last hidden state, so its dH is zero before
+    # the last step: seed the recurrence with that row. SA-LSTM reads every step.
+    per_step = trace.spec.family == "sa_lstm"
+    dh_next = np.zeros((B, h_size)) if per_step else dH[:, -1]
     dc_next = np.zeros((B, h_size))
     for t in range(T - 1, -1, -1):
-        dh = dH[:, t] + dh_next
+        dh = dH[:, t] + dh_next if per_step else dh_next
         dc = dh * dc_dh[t]
         dc += dc_next
         blocks[t, :, :3] *= dc[:, None]

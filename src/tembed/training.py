@@ -27,15 +27,16 @@ produce the same report.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._util import canonical_json, make_rng, seed_entropy
 from .dataset import (
-    BinnedEpisode,
+    BinnedBatch,
     IrregularSeries,
     Schema,
     attach_mask,
@@ -78,14 +79,14 @@ class Hyper:
     weight_decay: float = 1e-2
 
     def __post_init__(self) -> None:
-        if not (self.lr > 0):
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if isinstance(self.weight_decay, bool) or not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
         for name, low in (("epochs", 0), ("batch_size", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
         return {
@@ -176,45 +177,47 @@ class ArrayData:
         return ArrayData(X=self.X[idx], y=self.y[idx], grid_times=self.grid_times, episode_ids=ids)
 
 
+# Episodes featurized per pass: the working arrays of bin_series and the
+# attachments stay one chunk's worth next to X, whatever the episode count.
+_CHUNK = 256
+
+
 def build_features(series_list, schema: Schema, window: float, bin_width: float,
-                   spec: ModelSpec) -> list[BinnedEpisode]:
-    """Bin each series and attach the feature columns that ``spec.te_mode``
+                   spec: ModelSpec) -> BinnedBatch:
+    """Bin the series and attach the feature columns that ``spec.te_mode``
     calls for (add_te needs no extra columns; the model adds the embeddings
-    to its hidden states)."""
-    out = []
-    for s in series_list:
-        ep = bin_series(s, schema, window, bin_width)
+    to its hidden states). The result keeps X only; M and D are None."""
+    series_list = tuple(series_list)
+    X = None
+    for start in range(0, max(len(series_list), 1), _CHUNK):  # no series: one empty pass
+        part = bin_series(series_list[start : start + _CHUNK], schema, window, bin_width)
         if spec.te_mode == "mask":
-            ep = attach_mask(ep)
+            part = attach_mask(part)
         elif spec.te_mode == "cat_te":
-            ep = attach_te(ep, spec.te_cfg)
-        out.append(ep)
-    return out
+            part = attach_te(part, spec.te_cfg)
+        if X is None:
+            X = np.empty((len(series_list),) + part.X.shape[1:])
+        X[start : start + len(part.series)] = part.X
+    return replace(part, series=series_list, X=X, M=None, D=None)
 
 
-def prepare(binned: list[BinnedEpisode], task: str) -> ArrayData:
-    """Stack binned episodes; regression labels are converted to days here."""
-    if not binned:
+def prepare(batch: BinnedBatch, task: str) -> ArrayData:
+    """Arrays of a featurized batch; regression labels are converted to days here."""
+    if not batch.series:
         raise ValueError("no episodes to prepare")
-    grid = binned[0].grid_times
-    for ep in binned[1:]:
-        if ep.X.shape != binned[0].X.shape:
-            raise ValueError("episodes have inconsistent feature shapes")
-        if not np.array_equal(ep.grid_times, grid):
-            raise ValueError("episodes have inconsistent grids")
-    X = np.stack([ep.X for ep in binned])
     labels = []
-    for ep in binned:
-        if ep.label is None:
-            raise ValueError(f"episode {ep.episode_id!r} has no label")
-        labels.append(float(ep.label))
+    for s in batch.series:
+        if s.label is None:
+            raise ValueError(f"episode {s.episode_id!r} has no label")
+        labels.append(float(s.label))
     y = np.asarray(labels)
     if task == "classification":
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("classification labels must be 0 or 1")
     else:
         y = label_convert(y, "to_days")
-    return ArrayData(X=X, y=y, grid_times=grid.copy(), episode_ids=tuple(ep.episode_id for ep in binned))
+    return ArrayData(X=batch.X, y=y, grid_times=batch.grid_times.copy(),
+                     episode_ids=tuple(s.episode_id for s in batch.series))
 
 
 def predict_scores(spec: ModelSpec, params: dict, data: ArrayData, batch_size: int = 256) -> np.ndarray:
@@ -335,7 +338,16 @@ def _max_workers() -> int:
     return max(1, n)
 
 
-def run_cv(spec: ModelSpec, pool: list[BinnedEpisode], test: list[BinnedEpisode],
+def _in_id_order(batch: BinnedBatch, task: str) -> tuple[list[IrregularSeries], ArrayData]:
+    """The batch's episodes and arrays, both sorted by episode id."""
+    order = sorted(range(len(batch.series)), key=lambda i: batch.series[i].episode_id)
+    data = prepare(batch, task)
+    if order != list(range(len(order))):
+        data = data.subset(order)
+    return [batch.series[i] for i in order], data
+
+
+def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
            hyper: Hyper, k: int = 5, runs_per_fold: int = 10,
            base_seed: int = 0) -> tuple[dict, dict[int, dict]]:
     """Full protocol: k folds x runs_per_fold seeded trainings, per-fold
@@ -349,12 +361,10 @@ def run_cv(spec: ModelSpec, pool: list[BinnedEpisode], test: list[BinnedEpisode]
     [base_seed, fold, run], so the report is byte-identical across
     executions and input orderings.
     """
-    pool = sorted(pool, key=lambda ep: ep.episode_id)
-    test = sorted(test, key=lambda ep: ep.episode_id)
+    pool_series, pool_data = _in_id_order(pool, spec.task)
+    _, test_data = _in_id_order(test, spec.task)
     stratify = spec.task == "classification"
-    fold_of = split_folds(pool, k, [base_seed, _FOLD_SALT], stratify=stratify)
-    pool_data = prepare(pool, spec.task)
-    test_data = prepare(test, spec.task)
+    fold_of = split_folds(pool_series, k, [base_seed, _FOLD_SALT], stratify=stratify)
 
     jobs = [(f, r) for f in range(k) for r in range(runs_per_fold)]
 
@@ -418,7 +428,7 @@ def run_cv(spec: ModelSpec, pool: list[BinnedEpisode], test: list[BinnedEpisode]
         "base_seed": base_seed,
         "n_pool": pool_data.n,
         "n_test": test_data.n,
-        "fold_of": {ep.episode_id: int(fold_of[i]) for i, ep in enumerate(pool)},
+        "fold_of": {eid: int(fold_of[i]) for i, eid in enumerate(pool_data.episode_ids)},
         "val_metric_name": val_metric_name(spec.task),
         "rows": rows,
         "aggregate": aggregate,

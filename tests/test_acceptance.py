@@ -365,7 +365,7 @@ def test_criterion_08_protocol_fidelity():
     jobs = {(r["fold"], r["run"]) for r in report_a["rows"]}
     all_jobs_once = jobs == {(f, r) for f in range(5) for r in range(10)} and n_rows == 50
     fold_of = report_a["fold_of"]
-    coverage = (set(fold_of) == {ep.episode_id for ep in pool}
+    coverage = (set(fold_of) == {s.episode_id for s in pool.series}
                 and set(fold_of.values()) <= set(range(5)))
     identical = report_to_json(report_a) == report_to_json(report_b)
     ok = all_jobs_once and coverage and identical

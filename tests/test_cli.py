@@ -317,11 +317,12 @@ CAT_TE_LSTM = {"family": "lstm", "hidden": 4, "te_mode": "cat_te"}
      ["features.window", "'abc'", "train.k must be"], 2),
     ("train", {"model": dict(CAT_TE_LSTM, te_max_time=None)}, ["model: "], 1),
     ("train", {"train": {"epochs": 1.5}}, ["train: epochs must be an integer >= 0, got 1.5"], 1),
+    ("train", {"train": {"lr": True}}, ["train: lr must be a finite number > 0, got True"], 1),
     ("sweep", {"seed": 1.5}, ["seed must be an integer, got 1.5"], 1),
     ("sweep", {"fractions": []}, ["config fractions must be one or more numbers in (0, 1]"], 1),
     ("sweep", {"fractions": ["a"]}, ["config fractions must be comma-separated numbers"], 1),
 ], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
-        "epochs-float", "sweep-seed-float", "fractions-empty", "fractions-not-numbers"])
+        "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers"])
 def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
     if command == "train":
         config = dict(TRAIN_CONFIG, out=str(tmp_path / "o"), **config)

@@ -299,129 +299,134 @@ class TestNormalization:
         npt.assert_array_equal(back.std, stats.std)
 
 
+def binned(s, schema, window, bin_width):
+    """The one-episode batch of ``s``."""
+    return bin_series([s], schema, window=window, bin_width=bin_width)
+
+
 class TestBinning:
     def test_hand_case_mask_and_delta(self):
         s = series("a", [0.5], [0], [2.0])
-        ep = bin_series(s, REAL1, window=2.0, bin_width=1.0)
-        npt.assert_array_equal(ep.M, [[1.0], [0.0]])
-        npt.assert_array_equal(ep.D, [[0.0], [1.0]])
-        npt.assert_array_equal(ep.X, [[2.0], [2.0]])
+        ep = binned(s, REAL1, window=2.0, bin_width=1.0)
+        npt.assert_array_equal(ep.M[0], [[1.0], [0.0]])
+        npt.assert_array_equal(ep.D[0], [[0.0], [1.0]])
+        npt.assert_array_equal(ep.X[0], [[2.0], [2.0]])
 
     def test_forward_fill_and_lead_zero(self):
         s = series("a", [2.5], [0], [7.0])
-        ep = bin_series(s, REAL1, window=4.0, bin_width=1.0)
-        npt.assert_array_equal(ep.X[:, 0], [0.0, 0.0, 7.0, 7.0])
-        npt.assert_array_equal(ep.M[:, 0], [0.0, 0.0, 1.0, 0.0])
-        npt.assert_array_equal(ep.D[:, 0], [0.0, 1.0, 0.0, 1.0])
+        ep = binned(s, REAL1, window=4.0, bin_width=1.0)
+        npt.assert_array_equal(ep.X[0, :, 0], [0.0, 0.0, 7.0, 7.0])
+        npt.assert_array_equal(ep.M[0, :, 0], [0.0, 0.0, 1.0, 0.0])
+        npt.assert_array_equal(ep.D[0, :, 0], [0.0, 1.0, 0.0, 1.0])
 
     def test_last_observation_in_bin_wins(self):
         s = series("a", [0.2, 0.7], [0, 0], [1.0, 3.0])
-        ep = bin_series(s, REAL1, window=2.0, bin_width=1.0)
-        assert ep.X[0, 0] == 3.0
+        ep = binned(s, REAL1, window=2.0, bin_width=1.0)
+        assert ep.X[0, 0, 0] == 3.0
 
     def test_delta_accumulates_in_hours(self):
         s = series("a", [0.5], [0], [2.0])
-        ep = bin_series(s, REAL1, window=3.0, bin_width=0.5)
-        npt.assert_array_equal(ep.D[:, 0], [0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
-        npt.assert_array_equal(ep.M[:, 0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        ep = binned(s, REAL1, window=3.0, bin_width=0.5)
+        npt.assert_array_equal(ep.D[0, :, 0], [0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
+        npt.assert_array_equal(ep.M[0, :, 0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_step_count_is_ceil(self):
         s = series("a", [0.1], [0], [1.0])
-        assert bin_series(s, REAL1, window=5.0, bin_width=2.0).steps == 3
-        assert bin_series(s, REAL1, window=4.0, bin_width=2.0).steps == 2
+        assert binned(s, REAL1, window=5.0, bin_width=2.0).X.shape[1] == 3
+        assert binned(s, REAL1, window=4.0, bin_width=2.0).X.shape[1] == 2
 
     def test_step_count_survives_float_noise(self):
         # 5.1 / 1.7 is 3.0000000000000004 in floats; naive ceil would say 4
         s = series("a", [0.1], [0], [1.0])
-        assert bin_series(s, REAL1, window=5.1, bin_width=1.7).steps == 3
+        assert binned(s, REAL1, window=5.1, bin_width=1.7).X.shape[1] == 3
 
     def test_grid_times_are_bin_left_edges(self):
         s = series("a", [0.1], [0], [1.0])
-        ep = bin_series(s, REAL1, window=3.0, bin_width=1.0)
+        ep = binned(s, REAL1, window=3.0, bin_width=1.0)
         npt.assert_array_equal(ep.grid_times, [0.0, 1.0, 2.0])
 
     def test_observations_beyond_window_ignored(self):
         s = series("a", [1.5, 3.9, 4.0, 7.2], [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0])
-        ep = bin_series(s, REAL1, window=4.0, bin_width=1.0)
-        npt.assert_array_equal(ep.M[:, 0], [0.0, 1.0, 0.0, 1.0])
-        assert ep.X[3, 0] == 2.0
+        ep = binned(s, REAL1, window=4.0, bin_width=1.0)
+        npt.assert_array_equal(ep.M[0, :, 0], [0.0, 1.0, 0.0, 1.0])
+        assert ep.X[0, 3, 0] == 2.0
 
-    def test_empty_episode_flagged_all_missing(self):
-        ep = bin_series(series("a"), REAL1, window=2.0, bin_width=1.0)
-        assert ep.all_missing
-        npt.assert_array_equal(ep.M, np.zeros((2, 1)))
-        npt.assert_array_equal(ep.X, np.zeros((2, 1)))
+    def test_empty_episode_bins_to_zeros(self):
+        ep = binned(series("a"), REAL1, window=2.0, bin_width=1.0)
+        npt.assert_array_equal(ep.M[0], np.zeros((2, 1)))
+        npt.assert_array_equal(ep.X[0], np.zeros((2, 1)))
 
     def test_categorical_one_hot_with_zero_lead(self):
         s = series("a", [1.5, 2.5], [1, 1], [2.0, 0.0])
-        ep = bin_series(s, MIXED, window=4.0, bin_width=1.0)
-        assert ep.feature_names == ("hr", "rhythm=0", "rhythm=1", "rhythm=2")
+        ep = binned(s, MIXED, window=4.0, bin_width=1.0)
         npt.assert_array_equal(
-            ep.X[:, 1:],
+            ep.X[0, :, 1:],
             [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
         )
 
-    def test_custom_lead_values(self):
-        s = series("a", [2.5], [0], [7.0])
-        ep = bin_series(s, REAL1, window=4.0, bin_width=1.0, lead_values=np.array([-2.0]))
-        npt.assert_array_equal(ep.X[:, 0], [-2.0, -2.0, 7.0, 7.0])
+    @pytest.mark.parametrize("channel", [-1, 2])
+    def test_rejects_channel_index_outside_schema(self, channel):
+        with pytest.raises(ValueError, match="episode 'b'.*outside the 2-channel schema"):
+            bin_series([series("a", [0.5], [1], [1.0]), series("b", [0.5], [channel], [1.0])],
+                       REAL2, window=2.0, bin_width=1.0)
 
     def test_rejects_nonpositive_geometry(self):
         with pytest.raises(ValueError):
-            bin_series(series("a"), REAL1, window=0.0, bin_width=1.0)
+            binned(series("a"), REAL1, window=0.0, bin_width=1.0)
         with pytest.raises(ValueError):
-            bin_series(series("a"), REAL1, window=2.0, bin_width=-1.0)
+            binned(series("a"), REAL1, window=2.0, bin_width=-1.0)
 
     def test_per_channel_independence(self):
         s = series("a", [0.5, 2.5], [0, 1], [1.0, 4.0])
-        ep = bin_series(s, REAL2, window=4.0, bin_width=1.0)
-        npt.assert_array_equal(ep.M[:, 0], [1.0, 0.0, 0.0, 0.0])
-        npt.assert_array_equal(ep.M[:, 1], [0.0, 0.0, 1.0, 0.0])
-        npt.assert_array_equal(ep.D[:, 1], [0.0, 1.0, 0.0, 1.0])
+        ep = binned(s, REAL2, window=4.0, bin_width=1.0)
+        npt.assert_array_equal(ep.M[0, :, 0], [1.0, 0.0, 0.0, 0.0])
+        npt.assert_array_equal(ep.M[0, :, 1], [0.0, 0.0, 1.0, 0.0])
+        npt.assert_array_equal(ep.D[0, :, 1], [0.0, 1.0, 0.0, 1.0])
 
 
 class TestFeatureAttachment:
     def base(self):
         s = series("a", [0.5, 2.5], [0, 1], [1.0, 4.0], label=1.0)
-        return bin_series(s, REAL2, window=4.0, bin_width=1.0)
+        return binned(s, REAL2, window=4.0, bin_width=1.0)
 
     def test_mask_appends_indicators_and_scaled_gaps(self):
         ep = attach_mask(self.base())
         assert ep.feature_mode == "mask"
-        assert ep.X.shape == (4, 6)
-        npt.assert_array_equal(ep.X[:, 2:4], self.base().M)
-        npt.assert_array_equal(ep.X[:, 4:6], self.base().D / 4.0)
-        assert ep.feature_names[2:] == ("ch0:observed", "ch1:observed", "ch0:gapfrac", "ch1:gapfrac")
+        assert ep.X.shape == (1, 4, 6)
+        npt.assert_array_equal(ep.X[..., 2:4], self.base().M)
+        npt.assert_array_equal(ep.X[..., 4:6], self.base().D / 4.0)
 
     def test_mask_gap_feature_bounded(self):
         ep = attach_mask(self.base())
-        assert ep.X[:, 4:].max() <= 1.0
-        assert ep.X[:, 4:].min() >= 0.0
+        assert ep.X[..., 4:].max() <= 1.0
+        assert ep.X[..., 4:].min() >= 0.0
 
     def test_te_appends_observation_gap_embeddings_bit_exactly(self):
         cfg = EncoderConfig.temporal(4, 48.0)
         ep = attach_te(self.base(), cfg)
         assert ep.feature_mode == "te"
-        assert ep.X.shape == (4, 6)
+        assert ep.X.shape == (1, 4, 6)
         # ch0 seen in bin 0, ch1 in bin 2: hours since the latest observation
         # in any channel are 0, 1, 0, 1 at the four bin starts
-        npt.assert_array_equal(ep.X[:, 2:], te_batch(np.array([0.0, 1.0, 0.0, 1.0]), cfg))
-        assert ep.feature_names[2:] == ("te_0", "te_1", "te_2", "te_3")
+        npt.assert_array_equal(ep.X[0, :, 2:], te_batch(np.array([0.0, 1.0, 0.0, 1.0]), cfg))
 
     def test_te_columns_follow_each_episodes_observation_times(self):
         cfg = EncoderConfig.temporal(4, 48.0)
-        early = bin_series(series("a", [0.5, 1.5], [0, 1], [1.0, 4.0]), REAL2, 4.0, 1.0)
-        late = bin_series(series("b", [2.5, 3.5], [0, 1], [1.0, 4.0]), REAL2, 4.0, 1.0)
-        assert not np.array_equal(attach_te(early, cfg).X[:, 2:], attach_te(late, cfg).X[:, 2:])
+        early = binned(series("a", [0.5, 1.5], [0, 1], [1.0, 4.0]), REAL2, 4.0, 1.0)
+        late = binned(series("b", [2.5, 3.5], [0, 1], [1.0, 4.0]), REAL2, 4.0, 1.0)
+        assert not np.array_equal(attach_te(early, cfg).X[..., 2:], attach_te(late, cfg).X[..., 2:])
         # ch1 never observed, ch0 only at 1.5 h: bin 0 counts from the window
         # start, bin 1 holds the observation, later bins count from it
-        lone = bin_series(series("c", [1.5], [0], [2.0]), REAL2, 5.0, 1.0)
-        npt.assert_array_equal(attach_te(lone, cfg).X[:, 2:],
+        lone = binned(series("c", [1.5], [0], [2.0]), REAL2, 5.0, 1.0)
+        npt.assert_array_equal(attach_te(lone, cfg).X[0, :, 2:],
                                te_batch(np.array([0.0, 0.0, 1.0, 2.0, 3.0]), cfg))
 
     def test_te_leaves_mask_and_delta_out_of_features(self):
-        ep = attach_te(self.base(), EncoderConfig.temporal(4, 48.0))
-        assert not any("observed" in n or "gapfrac" in n for n in ep.feature_names)
+        base = self.base()
+        ep = attach_te(base, EncoderConfig.temporal(4, 48.0))
+        # the values, then the 4 embedding columns; no M or D/window columns
+        assert ep.X.shape == (1, 4, 2 + 4)
+        npt.assert_array_equal(ep.X[..., :2], base.X)
 
     def test_te_requires_temporal_config_covering_window(self):
         with pytest.raises(ValueError, match="temporal"):
@@ -440,8 +445,8 @@ class TestFeatureAttachment:
 
     def test_label_and_identity_survive(self):
         ep = attach_mask(self.base())
-        assert ep.label == 1.0
-        assert ep.episode_id == "a"
+        assert ep.series[0].label == 1.0
+        assert ep.series[0].episode_id == "a"
 
 
 class TestDropObservations:

@@ -77,6 +77,8 @@ class TestHyper:
         {"lr": 0.0}, {"lr": -1.0}, {"epochs": -1}, {"batch_size": 0}, {"weight_decay": -0.1},
         {"epochs": 1.5}, {"epochs": 2.0}, {"epochs": True}, {"epochs": "3"}, {"epochs": np.int64(3)},
         {"batch_size": 8.5}, {"batch_size": 16.0}, {"batch_size": True},
+        {"lr": True}, {"weight_decay": False}, {"lr": float("inf")}, {"lr": float("nan")},
+        {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -166,7 +168,7 @@ class TestPrepare:
         assert data.X.shape == (20, 6, 2)
         assert data.n == 20
         assert set(np.unique(data.y)) <= {0.0, 1.0}
-        assert data.episode_ids == tuple(ep.episode_id for ep in pool)
+        assert data.episode_ids == tuple(s.episode_id for s in pool.series)
         npt.assert_array_equal(data.grid_times, np.arange(6) * BIN_WIDTH)
 
     def test_subset_keeps_alignment(self, pool_and_test):
@@ -179,33 +181,21 @@ class TestPrepare:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no episodes"):
-            prepare([], "classification")
+            prepare(build_features([], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "classification")
 
-    def test_inconsistent_shapes_rejected(self, pool_and_test):
-        pool, _ = pool_and_test
-        masked = build_features(
-            [gen_dataset(CFG, 1)[0][0]], SCHEMA, WINDOW, BIN_WIDTH,
-            ModelSpec(family="logreg", task="classification", te_mode="mask"),
-        )
-        with pytest.raises(ValueError, match="shape"):
-            prepare([pool[0], masked[0]], "classification")
-
-    def test_missing_label_rejected(self, pool_and_test):
-        pool, _ = pool_and_test
-        unlabeled = dataclasses.replace(pool[0], label=None)
+    def test_missing_label_rejected(self, corpus):
+        unlabeled = dataclasses.replace(corpus[0][0], label=None)
         with pytest.raises(ValueError, match="label"):
-            prepare([unlabeled], "classification")
+            prepare(build_features([unlabeled], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "classification")
 
-    def test_nonbinary_classification_label_rejected(self, pool_and_test):
-        pool, _ = pool_and_test
-        bad = dataclasses.replace(pool[0], label=2.0)
+    def test_nonbinary_classification_label_rejected(self, corpus):
+        bad = dataclasses.replace(corpus[0][0], label=2.0)
         with pytest.raises(ValueError, match="0 or 1"):
-            prepare([bad], "classification")
+            prepare(build_features([bad], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "classification")
 
-    def test_regression_labels_become_days(self, pool_and_test):
-        pool, _ = pool_and_test
-        ep = dataclasses.replace(pool[0], label=36.0)
-        data = prepare([ep], "regression")
+    def test_regression_labels_become_days(self, corpus):
+        ep = dataclasses.replace(corpus[0][0], label=36.0)
+        data = prepare(build_features([ep], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "regression")
         assert data.y[0] == 1.5
 
 
@@ -217,7 +207,7 @@ class TestBuildFeatures:
         widths = {}
         for mode, te in (("none", None), ("mask", None), ("cat_te", te_cfg)):
             spec = ModelSpec(family="logreg", task="classification", te_mode=mode, te_cfg=te)
-            widths[mode] = build_features(one, SCHEMA, WINDOW, BIN_WIDTH, spec)[0].X.shape[1]
+            widths[mode] = build_features(one, SCHEMA, WINDOW, BIN_WIDTH, spec).X.shape[2]
         assert widths["none"] == 2
         assert widths["mask"] == 2 + 2 * CFG.n_channels
         assert widths["cat_te"] == 2 + 4
@@ -228,8 +218,8 @@ class TestBuildFeatures:
             family="lstm", task="classification", hidden=4,
             te_mode="add_te", te_cfg=EncoderConfig.temporal(4, WINDOW),
         )
-        ep = build_features(pool_series[:1], SCHEMA, WINDOW, BIN_WIDTH, spec)[0]
-        assert ep.X.shape[1] == 2
+        batch = build_features(pool_series[:1], SCHEMA, WINDOW, BIN_WIDTH, spec)
+        assert batch.X.shape[2] == 2
 
 
 class TestTrainOne:
@@ -299,11 +289,10 @@ class TestEvaluate:
         got = evaluate(LOGREG, params, data)
         assert set(got) == {"auc_roc", "ap"}
 
-    def test_regression_metrics_in_hours(self, pool_and_test):
-        pool, _ = pool_and_test
+    def test_regression_metrics_in_hours(self, corpus):
         spec = ModelSpec(family="linreg", task="regression")
-        eps = [dataclasses.replace(ep, label=24.0 * (1 + i % 3)) for i, ep in enumerate(pool)]
-        data = prepare(eps, "regression")
+        eps = [dataclasses.replace(s, label=24.0 * (1 + i % 3)) for i, s in enumerate(corpus[0])]
+        data = prepare(build_features(eps, SCHEMA, WINDOW, BIN_WIDTH, spec), "regression")
         width = model_input_width(spec, data.X.shape[1], data.X.shape[2])
         params = init_params(spec, width, 0)
         got = evaluate(spec, params, data)
@@ -359,7 +348,7 @@ class TestRunCV:
         report, _ = cv
         pool, _ = pool_and_test
         fold_of = report["fold_of"]
-        assert set(fold_of) == {ep.episode_id for ep in pool}
+        assert set(fold_of) == {s.episode_id for s in pool.series}
         assert set(fold_of.values()) <= set(range(5))
         # one fold id per episode means one validation appearance per run index
         counts = [list(fold_of.values()).count(f) for f in range(5)]
@@ -389,12 +378,13 @@ class TestRunCV:
         assert set(report["aggregate"]) == {"auc_roc", "ap"}
         assert report["aggregate"]["auc_roc"]["n"] == 5
 
-    def test_byte_identical_across_executions_and_orderings(self, cv, pool_and_test):
+    def test_byte_identical_across_executions_and_orderings(self, cv, corpus, pool_and_test):
         report, _ = cv
-        pool, test = pool_and_test
-        shuffled = list(pool)
+        _, test = pool_and_test
+        shuffled = list(corpus[0])
         np.random.default_rng(0).shuffle(shuffled)
-        again, _ = run_cv(LOGREG, shuffled, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=11)
+        pool = build_features(shuffled, SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
+        again, _ = run_cv(LOGREG, pool, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=11)
         assert report_to_json(again) == report_to_json(report)
 
     def test_base_seed_changes_report(self, cv, pool_and_test):
