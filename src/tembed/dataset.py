@@ -12,12 +12,16 @@ explicit seeds.
 File formats. Observations: CSV with header ``episode_id,time_hours,channel,value``.
 Labels: CSV with header ``episode_id,label``. Schema: JSON mapping channel
 names to kinds (``real`` or ``categorical`` with a cardinality). Floats are
-written with ``repr`` so a write/read cycle reproduces the exact bits.
+written with ``repr`` so a write/read cycle reproduces the exact bits. Fields
+are written unquoted with ``\n`` line ends; reading also accepts quoted
+fields and CRLF line ends, as ``csv.reader`` does.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 import warnings
@@ -158,8 +162,8 @@ class IrregularSeries:
             raise ValueError(f"episode {self.episode_id!r}: negative observation time")
         if n and not np.isfinite(self.values).all():
             raise ValueError(f"episode {self.episode_id!r}: non-finite observation value")
-        order = np.argsort(self.times, kind="stable")
-        if not np.array_equal(order, np.arange(n)):
+        if n > 1 and (self.times[1:] < self.times[:-1]).any():
+            order = np.argsort(self.times, kind="stable")
             self.times = self.times[order]
             self.channel_idx = self.channel_idx[order]
             self.values = self.values[order]
@@ -217,6 +221,18 @@ class BinnedBatch:
     feature_mode: str = "base"
 
 
+# Observation files are read in blocks of about this many characters, each
+# extended to the end of its last line, so memory stays near one block's
+# columns whatever the file size.
+_BLOCK_CHARS = 1 << 20
+# The comma split reads a block as csv.reader would unless the block holds a
+# quote, a carriage return, a NUL (which csv.reader rejects before Python
+# 3.11) or a field over csv.field_size_limit(); from the first block that
+# does, csv.reader parses the rest of the file, this many records at a time.
+_CSV_ONLY = ('"', "\r", "\0")
+_CSV_BLOCK_ROWS = 1 << 14
+
+
 def _parse_float(text: str, what: str, line_no: int) -> float:
     try:
         v = float(text)
@@ -227,14 +243,125 @@ def _parse_float(text: str, what: str, line_no: int) -> float:
     return v
 
 
-def _check_categorical(value: float, spec: ChannelSpec, where: str) -> None:
-    if spec.kind != "categorical":
-        return
-    if value != int(value) or not (0 <= value < spec.cardinality):
+def _floats(column: Sequence[str]) -> np.ndarray:
+    """Python ``float`` of every string, NaN where one does not parse."""
+    try:
+        return np.fromiter(map(float, column), np.float64, len(column))
+    except ValueError:
+        out = np.full(len(column), np.nan)
+        for i, text in enumerate(column):
+            try:
+                out[i] = float(text)
+            except ValueError:
+                pass
+        return out
+
+
+def _invalid_codes(chans: np.ndarray, vals: np.ndarray, schema: Schema) -> np.ndarray:
+    """Mask of observations on a categorical channel whose value is not an
+    integer in [0, cardinality)."""
+    card = np.array([spec.cardinality or 0 for spec in schema.channels])[chans]
+    return (card > 0) & ((vals != np.trunc(vals)) | (vals < 0) | (vals >= card))
+
+
+def _check_codes(chans: np.ndarray, vals: np.ndarray, schema: Schema, where) -> None:
+    """Raise for the first invalid categorical code; ``where(i)`` names the
+    line or episode of observation ``i``."""
+    bad = _invalid_codes(chans, vals, schema)
+    if bad.any():
+        i = int(np.argmax(bad))
+        spec = schema.channels[chans[i]]
         raise ValueError(
-            f"{where}: categorical channel {spec.name!r} takes integer values in "
-            f"[0, {spec.cardinality}), got {value!r}"
+            f"{where(i)}: categorical channel {spec.name!r} takes integer values in "
+            f"[0, {spec.cardinality}), got {float(vals[i])!r}"
         )
+
+
+def _check_row(row: Sequence[str], line_no: int, channel_of: dict[str, int],
+               schema: Schema) -> None:
+    """Raise the first problem of one data record, checked field by field."""
+    if len(row) != 4:
+        raise ValueError(f"line {line_no}: expected 4 fields, got {len(row)}")
+    _, t_raw, channel, v_raw = row
+    t = _parse_float(t_raw, "time", line_no)
+    if t < 0:
+        raise ValueError(f"line {line_no}: negative time {t_raw!r}")
+    if channel not in channel_of:
+        raise ValueError(f"line {line_no}: unknown channel {channel!r}")
+    v = _parse_float(v_raw, "value", line_no)
+    _check_codes(np.array([channel_of[channel]]), np.array([v]), schema,
+                 lambda _: f"line {line_no}")
+
+
+def _field_blocks(fh):
+    """Yield ``(line numbers, fields per record, fields)`` for each block of
+    data records after the header.
+
+    ``fields`` holds the fields of the block's records one after another.
+    Blank records are left out but counted, so line numbers count records
+    from the header as csv.reader counts them. A block is split on newlines
+    and commas. From the first block that holds a character in ``_CSV_ONLY``
+    or a field that may be longer than ``csv.field_size_limit()`` on,
+    csv.reader parses the rest of the file, so such a field raises
+    ``csv.Error`` wherever it stands.
+    """
+    line_no = 2
+    while text := fh.read(_BLOCK_CHARS):
+        text += fh.readline()
+        lines = text if text.endswith("\n") else text + "\n"
+        raw = np.frombuffer(lines.encode(), np.uint8)
+        newline = raw == ord("\n")
+        seps = np.flatnonzero(newline | (raw == ord(",")))
+        # a field takes at least as many bytes as characters
+        longest = int(np.diff(seps, prepend=-1).max()) - 1
+        if longest > csv.field_size_limit() or any(c in text for c in _CSV_ONLY):
+            reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+            yield from _csv_field_blocks(reader, line_no)
+            return
+        ends = np.flatnonzero(newline)
+        n_fields = np.diff(np.searchsorted(seps, ends), prepend=-1)
+        kept = np.diff(ends, prepend=-1) > 1  # not a blank line
+        if not kept.all():
+            lines = "".join(line + "\n" for line in lines.split("\n") if line)
+        fields = lines.replace("\n", ",").split(",")
+        del fields[-1]
+        yield line_no + np.flatnonzero(kept), n_fields[kept], fields
+        line_no += ends.size
+
+
+def _csv_field_blocks(reader, line_no: int):
+    """:func:`_field_blocks` for records that csv.reader parses."""
+    while block := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+        n_fields = np.fromiter(map(len, block), np.int64, len(block))
+        kept = np.flatnonzero(n_fields)  # a blank record has no fields
+        yield line_no + kept, n_fields[kept], list(itertools.chain.from_iterable(block))
+        line_no += len(block)
+
+
+def _parse_block(line_nos: np.ndarray, n_fields: np.ndarray, fields: list[str],
+                 channel_of: dict[str, int], schema: Schema, codes: dict[str, int]):
+    """Validate one block of records and return its (episode code, time,
+    channel, value) columns; ``codes`` numbers episode ids as first seen.
+
+    Every check runs on whole columns; the first offending record goes to
+    :func:`_check_row`, which words the error.
+    """
+    if (n_fields != 4).any():
+        starts = np.cumsum(n_fields) - n_fields
+        for start, n, line in zip(starts.tolist(), n_fields.tolist(), line_nos.tolist()):
+            _check_row(fields[start : start + n], line, channel_of, schema)
+    eids, t_raw, names, v_raw = (fields[k::4] for k in range(4))
+    times, values = _floats(t_raw), _floats(v_raw)
+    chans = np.fromiter(map(channel_of.get, names, itertools.repeat(-1)), np.int64, len(names))
+    # a record with an unknown channel (-1) is bad whatever the code check says
+    bad = (~np.isfinite(times) | (times < 0) | (chans < 0) | ~np.isfinite(values)
+           | _invalid_codes(chans, values, schema))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_row([eids[i], t_raw[i], names[i], v_raw[i]], int(line_nos[i]), channel_of, schema)
+    for eid in dict.fromkeys(eids):
+        codes.setdefault(eid, len(codes))
+    return np.fromiter(map(codes.__getitem__, eids), np.int64, len(eids)), times, chans, values
 
 
 def load_labels(path: str) -> dict[str, float]:
@@ -262,71 +389,79 @@ def load_csv(data_path: str, schema: Schema, label_path: str | None = None) -> l
 
     Episodes come back sorted by id. When ``label_path`` is given, every
     episode must have a label and every label an episode; mismatches are
-    reported rather than silently dropped.
+    reported rather than silently dropped. The file is parsed and checked
+    in blocks of whole columns; an error names the first bad line. One
+    stable sort by (episode, time) then groups the observations, and every
+    series is a slice of the shared sorted arrays.
     """
-    per_episode: dict[str, list[tuple[float, int, float]]] = {}
+    channel_of = {spec.name: i for i, spec in enumerate(schema.channels)}
+    codes: dict[str, int] = {}
+    parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64), np.empty(0))]
     with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header not in (None, DATA_HEADER):
             raise ValueError(f"{data_path}: expected header {','.join(DATA_HEADER)}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"line {line_no}: expected 4 fields, got {len(row)}")
-            eid, t_raw, channel, v_raw = row
-            t = _parse_float(t_raw, "time", line_no)
-            if t < 0:
-                raise ValueError(f"line {line_no}: negative time {t_raw!r}")
-            try:
-                ch = schema.index_of(channel)
-            except KeyError:
-                raise ValueError(f"line {line_no}: unknown channel {channel!r}") from None
-            v = _parse_float(v_raw, "value", line_no)
-            _check_categorical(v, schema.channels[ch], f"line {line_no}")
-            per_episode.setdefault(eid, []).append((t, ch, v))
+        for block in _field_blocks(fh):
+            parts.append(_parse_block(*block, channel_of, schema, codes))
 
+    ids = list(codes)
     labels = load_labels(label_path) if label_path is not None else None
     if labels is not None:
-        missing = sorted(set(per_episode) - set(labels))
+        missing = sorted(set(ids) - set(labels))
         if missing:
             raise ValueError(f"episodes without labels: {missing[:5]} (total {len(missing)})")
-        orphans = sorted(set(labels) - set(per_episode))
+        orphans = sorted(set(labels) - set(ids))
         if orphans:
             raise ValueError(f"labels without episodes: {orphans[:5]} (total {len(orphans)})")
 
-    out = []
-    for eid in sorted(per_episode):
-        rows = per_episode[eid]
-        out.append(
-            IrregularSeries(
-                episode_id=eid,
-                times=np.array([r[0] for r in rows]),
-                channel_idx=np.array([r[1] for r in rows]),
-                values=np.array([r[2] for r in rows]),
-                label=None if labels is None else labels[eid],
-            )
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[by_id] = np.arange(len(ids))
+    episode, times, chans, values = (np.concatenate(col) for col in zip(*parts))
+    episode = rank[episode]
+    order = np.lexsort((times, episode))
+    episode, times, chans, values = episode[order], times[order], chans[order], values[order]
+    bounds = np.searchsorted(episode, np.arange(len(ids) + 1)).tolist()
+    return [
+        IrregularSeries(
+            episode_id=ids[j],
+            times=times[a:b],
+            channel_idx=chans[a:b],
+            values=values[a:b],
+            label=None if labels is None else labels[ids[j]],
         )
-    return out
+        for j, a, b in zip(by_id, bounds[:-1], bounds[1:])
+    ]
 
 
 def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: str,
               label_path: str | None = None) -> None:
-    """Write observation (and optionally label) CSVs that round-trip exactly."""
-    lines = [",".join(DATA_HEADER)]
-    for ep in episodes:
-        for t, ch, v in zip(ep.times, ep.channel_idx, ep.values):
-            lines.append(
-                f"{ep.episode_id},{float_repr(t)},{schema.channels[int(ch)].name},{float_repr(v)}"
-            )
-    atomic_write_text(data_path, "\n".join(lines) + "\n")
+    """Write observation (and optionally label) CSVs that round-trip exactly.
+
+    Fields are written unquoted, one row per line ending in ``\\n``, so an
+    episode id, or the name of a channel that some observation is on,
+    holding a comma or a line break, or starting with a quote, is refused
+    before anything is written; so is an episode without a label when
+    ``label_path`` is given.
+    """
+    names = [spec.name for spec in schema.channels]
+    chans = np.concatenate([ep.channel_idx for ep in episodes] + [np.empty(0, np.int64)]).tolist()
+    written = [("channel", names[c]) for c in sorted(set(chans))]
+    for what, name in written + [("episode id", ep.episode_id) for ep in episodes]:
+        if name.startswith('"') or any(c in name for c in ",\r\n"):
+            raise ValueError(f"{what} {name!r} cannot be written to CSV unquoted")
     if label_path is not None:
-        label_lines = [",".join(LABEL_HEADER)]
         for ep in episodes:
             if ep.label is None:
                 raise ValueError(f"episode {ep.episode_id!r} has no label to write")
-            label_lines.append(f"{ep.episode_id},{float_repr(ep.label)}")
+    ids = itertools.chain.from_iterable(itertools.repeat(ep.episode_id, ep.n_obs) for ep in episodes)
+    times = np.concatenate([ep.times for ep in episodes] + [np.empty(0)]).tolist()
+    values = np.concatenate([ep.values for ep in episodes] + [np.empty(0)]).tolist()
+    rows = map(",".join, zip(ids, map(repr, times), map(names.__getitem__, chans), map(repr, values)))
+    atomic_write_text(data_path, "\n".join(itertools.chain([",".join(DATA_HEADER)], rows)) + "\n")
+    if label_path is not None:
+        label_lines = [",".join(LABEL_HEADER)]
+        label_lines += [f"{ep.episode_id},{float_repr(ep.label)}" for ep in episodes]
         atomic_write_text(label_path, "\n".join(label_lines) + "\n")
 
 
@@ -334,17 +469,19 @@ def fit_norm(train: Sequence[IrregularSeries], schema: Schema) -> NormStats:
     """Pool all training observations per real channel and fit mean/std.
 
     Only training episodes may be passed here; applying the result to
-    validation or test data is how those sets stay leak-free.
+    validation or test data is how those sets stay leak-free. Each channel's
+    values are pooled from one concatenation of all episodes, in episode
+    order, the order the sums are taken in.
     """
     n = schema.n_channels
     mean = np.zeros(n)
     std = np.ones(n)
+    chans = np.concatenate([ep.channel_idx for ep in train] + [np.empty(0, np.int64)])
+    values = np.concatenate([ep.values for ep in train] + [np.empty(0)])
     for ch, spec in enumerate(schema.channels):
         if spec.kind != "real":
             continue
-        pooled = np.concatenate(
-            [ep.values[ep.channel_idx == ch] for ep in train] or [np.empty(0)]
-        )
+        pooled = values[chans == ch]
         if pooled.size == 0:
             warnings.warn(
                 f"channel {spec.name!r} has no training observations; using mean 0, std 1",
@@ -365,16 +502,18 @@ def apply_norm(series: IrregularSeries, stats: NormStats, schema: Schema) -> Irr
     """
     if series.normalized:
         raise ValueError(f"episode {series.episode_id!r} is already normalized")
-    values = series.values.copy()
-    for ch, spec in enumerate(schema.channels):
-        if spec.kind != "real":
-            continue
-        sel = series.channel_idx == ch
-        values[sel] = (values[sel] - stats.mean[ch]) / stats.std[ch]
+    # the kept copies come before the temporaries: interleaving them left the
+    # heap fragmented enough to raise the peak RSS of a later dropout sweep
+    times, chans, values = series.times.copy(), series.channel_idx.copy(), series.values.copy()
+    # is_real[ch + 1] for a channel index, False outside the schema on both sides
+    is_real = np.array([False] + [spec.kind == "real" for spec in schema.channels] + [False])
+    real = np.take(is_real, chans + 1, mode="clip")
+    ch = chans[real]
+    values[real] = (values[real] - stats.mean[ch]) / stats.std[ch]
     return IrregularSeries(
         episode_id=series.episode_id,
-        times=series.times.copy(),
-        channel_idx=series.channel_idx.copy(),
+        times=times,
+        channel_idx=chans,
         values=values,
         label=series.label,
         normalized=True,
@@ -419,12 +558,7 @@ def bin_series(series_list: Sequence[IrregularSeries], schema: Schema, window: f
         i = int(np.argmax(outside))
         raise ValueError(f"episode {series_list[episode[i]].episode_id!r}: channel index "
                          f"{chans[i]} outside the {n_ch}-channel schema")
-    card = np.array([spec.cardinality or 0 for spec in schema.channels])[chans]
-    bad = (card > 0) & ((vals != np.trunc(vals)) | (vals < 0) | (vals >= card))
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_categorical(float(vals[i]), schema.channels[chans[i]],
-                           f"episode {series_list[episode[i]].episode_id!r}")
+    _check_codes(chans, vals, schema, lambda i: f"episode {series_list[episode[i]].episode_id!r}")
 
     cell = (episode * steps + bins) * n_ch + chans
     order = np.argsort(cell, kind="stable")

@@ -509,8 +509,8 @@ def loss(spec: ModelSpec, output, target, trace: ForwardTrace) -> float:
     return total
 
 
-def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target, scale: float = 1.0) -> dict:
-    """Exact gradients of ``scale * loss`` with respect to every parameter."""
+def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target) -> dict:
+    """Exact gradients of the loss with respect to every parameter."""
     if trace.spec is not spec and trace.spec != spec:
         raise ValueError("trace was produced by a different model spec")
     B = trace.x.shape[0]
@@ -520,9 +520,9 @@ def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target, scale: 
     if spec.task == "classification":
         dz = trace.probs.copy()
         dz[np.arange(B), t.astype(np.int64)] -= 1.0
-        dz *= scale / B
+        dz *= 1.0 / B
     else:
-        dyhat = 2.0 * (trace.yhat - t) * scale / B
+        dyhat = 2.0 * (trace.yhat - t) / B
         dz = (dyhat * (trace.z_out[:, 0] > 0))[:, None]
 
     dfeed = _dense_backward(spec, params, trace, dz, grads)
@@ -541,7 +541,7 @@ def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target, scale: 
         dHp = A.transpose(0, 2, 1) @ dM
         if att.penalty_c != 0.0:
             G = A @ A.transpose(0, 2, 1) - np.eye(att.r)
-            dA += (4.0 * att.penalty_c * scale / B) * (G @ A)
+            dA += (4.0 * att.penalty_c / B) * (G @ A)
         dS = A * (dA - (dA * A).sum(axis=2, keepdims=True))
         dS_bta = dS.transpose(0, 2, 1)
         grads["attn.Ws2"] = np.einsum("btr,bta->ra", dS_bta, U)

@@ -3,7 +3,16 @@
 The acceptance tests register one verdict line per criterion; printing them
 in the terminal summary keeps the whole scorecard visible in one place even
 when pytest captures per-test output.
+
+Property tests share one hypothesis profile: derandomized, so every run
+draws the same examples, with no deadline and no example database. Each
+test still sets its own ``max_examples``.
 """
+
+from hypothesis import settings
+
+settings.register_profile("tembed", derandomize=True, deadline=None, database=None)
+settings.load_profile("tembed")
 
 CRITERION_LINES: list[str] = []
 

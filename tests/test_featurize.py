@@ -27,7 +27,7 @@ from tembed.dataset import (
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import ModelSpec
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 
 def oracle_check_categorical(value, spec, where):
