@@ -172,6 +172,17 @@ class IrregularSeries:
     def n_obs(self) -> int:
         return int(self.times.shape[0])
 
+    @classmethod
+    def _checked(cls, episode_id: str, times: np.ndarray, channel_idx: np.ndarray,
+                 values: np.ndarray, label: float | None, normalized: bool) -> "IrregularSeries":
+        """A series from arrays that already pass ``__post_init__``: equal-length
+        float64 times (finite, >= 0, sorted), int64 channels and finite float64
+        values. It skips the checks, which would leave such arrays unchanged."""
+        series = cls.__new__(cls)
+        series.episode_id, series.label, series.normalized = episode_id, label, normalized
+        series.times, series.channel_idx, series.values = times, channel_idx, values
+        return series
+
 
 @dataclass(frozen=True)
 class NormStats:
@@ -422,14 +433,10 @@ def load_csv(data_path: str, schema: Schema, label_path: str | None = None) -> l
     order = np.lexsort((times, episode))
     episode, times, chans, values = episode[order], times[order], chans[order], values[order]
     bounds = np.searchsorted(episode, np.arange(len(ids) + 1)).tolist()
+    # the block checks and the sort established everything IrregularSeries checks
     return [
-        IrregularSeries(
-            episode_id=ids[j],
-            times=times[a:b],
-            channel_idx=chans[a:b],
-            values=values[a:b],
-            label=None if labels is None else labels[ids[j]],
-        )
+        IrregularSeries._checked(ids[j], times[a:b], chans[a:b], values[a:b],
+                                 None if labels is None else labels[ids[j]], False)
         for j, a, b in zip(by_id, bounds[:-1], bounds[1:])
     ]
 
@@ -639,14 +646,10 @@ def drop_observations(series: IrregularSeries, keep_fraction: float, rng_seed) -
     if keep_fraction == 1.0:
         return replace(series)
     keep = make_rng(rng_seed).random(series.n_obs) < keep_fraction
-    return IrregularSeries(
-        episode_id=series.episode_id,
-        times=series.times[keep],
-        channel_idx=series.channel_idx[keep],
-        values=series.values[keep],
-        label=series.label,
-        normalized=series.normalized,
-    )
+    # a subset of a valid series is valid
+    return IrregularSeries._checked(series.episode_id, series.times[keep],
+                                    series.channel_idx[keep], series.values[keep],
+                                    series.label, series.normalized)
 
 
 def _canonical_permutation(episodes: Sequence[IrregularSeries], rng_seed) -> list[int]:

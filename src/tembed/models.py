@@ -23,13 +23,21 @@ c * ||A A^T - I||_F^2 so the r attention rows stay diverse.
 (batch x steps x features); ``loss`` and ``backward`` mirror that, with
 batch losses averaged. Gradients are exact reverse-mode derivatives of
 ``loss``, verified against central finite differences in the test suite.
+``predict`` returns what ``forward`` returns without its trace: called from
+the main thread, it runs blocks of rows on a thread per usable CPU, and
+without a trace the LSTM keeps one step of its gate and cell buffers
+instead of every step.
 Parameters live in plain dicts of named float64 arrays; all functions
 here treat them as immutable.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +53,11 @@ _FAMILY_ALIAS = {"linreg": "LinR", "logreg": "LogR", "mlp": "MLP", "lstm": "LSTM
 _MODE_PREFIX = {"none": "", "mask": "BM+", "cat_te": "catTE+", "add_te": "addTE+"}
 
 PARAMS_FORMAT_VERSION = 1
+
+# Rows per inference block: one block's working arrays stay in cache. On one
+# thread of a 2-vCPU Xeon, 1,000 SA-LSTM episodes (h=32, 48 steps, 54 inputs)
+# took 92 ms in 128-row blocks, 95 ms in 64-row and 122 ms in 256-row ones.
+_BLOCK = 128
 
 
 class NumericError(ValueError):
@@ -309,7 +322,7 @@ def _check_finite(arr: np.ndarray, layer: str) -> None:
         raise NumericError(f"non-finite activation in layer {layer!r}")
 
 
-def _lstm_forward(params: dict, x: np.ndarray, trace: ForwardTrace) -> np.ndarray:
+def _lstm_forward(params: dict, x: np.ndarray, trace: ForwardTrace | None) -> np.ndarray:
     B, T, _ = x.shape
     Wx, Wh, b = params["lstm.Wx"], params["lstm.Wh"], params["lstm.b"]
     h_size = Wh.shape[0]
@@ -318,28 +331,32 @@ def _lstm_forward(params: dict, x: np.ndarray, trace: ForwardTrace) -> np.ndarra
     half = np.full(4 * h_size, 0.5)
     half[2 * h_size : 3 * h_size] = 1.0
     offset = 1.0 - half
-    # Time-major gate and cell buffers keep each step's slice contiguous. The
-    # input projection of all steps reads x through a strided view; copying x
-    # to time-major first adds a buffer that raised inference peak RSS by 8 %.
-    gates = x.transpose(1, 0, 2) @ (Wx * half)
-    gates += b * half
-    Wh_half = Wh * half
-    C = np.empty((T, B, h_size))
-    TanhC = np.empty((T, B, h_size))
+    Wx_half, b_half, Wh_half = Wx * half, b * half, Wh * half
+    # Time-major buffers keep each step's slice contiguous. A trace keeps every
+    # step for backward; without one they roll over one gate row, two cell rows
+    # and one tanh row. H keeps every step, because attention reads them all.
+    keep = trace is not None
+    gates = np.empty((T if keep else 1, B, 4 * h_size))
+    C = np.empty((T if keep else 2, B, h_size))
+    TanhC = np.empty((T if keep else 1, B, h_size))
     H = np.empty((B, T, h_size))
     for t in range(T):
-        z = gates[t]
+        z, c, tanh_c = gates[t % len(gates)], C[t % len(C)], TanhC[t % len(TanhC)]
+        # x[:, t] is a strided view: a time-major copy of x raised the peak RSS
+        np.matmul(x[:, t], Wx_half, out=z)
+        z += b_half
         if t:
             z += H[:, t - 1] @ Wh_half
         np.tanh(z, out=z)
         z *= half
         z += offset
-        np.multiply(z[:, :h_size], z[:, 2 * h_size : 3 * h_size], out=C[t])
+        np.multiply(z[:, :h_size], z[:, 2 * h_size : 3 * h_size], out=c)
         if t:
-            C[t] += z[:, h_size : 2 * h_size] * C[t - 1]
-        np.tanh(C[t], out=TanhC[t])
-        np.multiply(z[:, 3 * h_size :], TanhC[t], out=H[:, t])
-    trace.gates, trace.cells, trace.tanh_cells, trace.H = gates, C, TanhC, H
+            c += z[:, h_size : 2 * h_size] * C[(t - 1) % len(C)]
+        np.tanh(c, out=tanh_c)
+        np.multiply(z[:, 3 * h_size :], tanh_c, out=H[:, t])
+    if keep:
+        trace.gates, trace.cells, trace.tanh_cells, trace.H = gates, C, TanhC, H
     _check_finite(H, "lstm")
     return H
 
@@ -364,10 +381,11 @@ def _lstm_backward(params: dict, trace: ForwardTrace, dH: np.ndarray, grads: dic
     dO *= TanhC
     dc_dh = O * (1.0 - TanhC ** 2)
     blocks = dgates.reshape(T, B, 4, h_size)
-    # The lstm head reads only the last hidden state, so its dH is zero before
-    # the last step: seed the recurrence with that row. SA-LSTM reads every step.
-    per_step = trace.spec.family == "sa_lstm"
-    dh_next = np.zeros((B, h_size)) if per_step else dH[:, -1]
+    # dH is (batch, steps, h) when the head reads every step (SA-LSTM). The
+    # lstm head reads only the last one and passes its (batch, h) gradient,
+    # which seeds the recurrence.
+    per_step = dH.ndim == 3
+    dh_next = np.zeros((B, h_size)) if per_step else dH
     dc_next = np.zeros((B, h_size))
     for t in range(T - 1, -1, -1):
         dh = dH[:, t] + dh_next if per_step else dh_next
@@ -385,13 +403,15 @@ def _lstm_backward(params: dict, trace: ForwardTrace, dH: np.ndarray, grads: dic
     grads["lstm.b"] = flat.sum(axis=0)
 
 
-def _dense_forward(spec: ModelSpec, params: dict, feed: np.ndarray, trace: ForwardTrace) -> np.ndarray:
+def _dense_forward(spec: ModelSpec, params: dict, feed: np.ndarray,
+                   trace: ForwardTrace | None) -> np.ndarray:
     a = feed
     names = _dense_layer_names(spec) + ["out"]
     for idx, name in enumerate(names):
         z = a @ params[f"{name}.W"] + params[f"{name}.b"]
-        trace.dense_inputs.append(a)
-        trace.dense_pre.append(z)
+        if trace is not None:
+            trace.dense_inputs.append(a)
+            trace.dense_pre.append(z)
         a = z if idx == len(names) - 1 else np.maximum(z, 0.0)
     return a
 
@@ -413,14 +433,9 @@ def _dense_backward(spec: ModelSpec, params: dict, trace: ForwardTrace, dz_out: 
     return dz
 
 
-def forward(spec: ModelSpec, params: dict, features, grid_times=None):
-    """Run the model; returns (output, trace).
-
-    Output is class probabilities (classification) or a non-negative
-    prediction (regression). ``features`` may be (steps, width) for one
-    episode or (batch, steps, width); ``grid_times`` is required only in
-    add_te mode, where the embedded grid is added to the hidden states.
-    """
+def _as_batch(features) -> tuple[np.ndarray, bool]:
+    """Finite (batch, steps, width) float64 features, and whether the caller
+    passed one (steps, width) episode."""
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 2
     if single:
@@ -428,21 +443,29 @@ def forward(spec: ModelSpec, params: dict, features, grid_times=None):
     if x.ndim != 3:
         raise ValueError(f"features must be (steps, width) or (batch, steps, width), got {x.shape}")
     _check_finite(x, "input")
-    trace = ForwardTrace(spec=spec, x=x)
-    B, T, width = x.shape
+    return x, single
 
+
+def _added_te(spec: ModelSpec, grid_times, steps: int) -> np.ndarray | None:
+    """The (steps, hidden) embedding add_te adds to the hidden states, else None."""
+    if spec.te_mode != "add_te":
+        return None
+    if grid_times is None:
+        raise ValueError("add_te mode needs grid_times")
+    te_mat = te_batch(np.asarray(grid_times, dtype=np.float64), spec.te_cfg)
+    if te_mat.shape[0] != steps:
+        raise ValueError(f"grid_times has {te_mat.shape[0]} steps, features have {steps}")
+    return te_mat
+
+
+def _forward(spec: ModelSpec, params: dict, x: np.ndarray, te_mat: np.ndarray | None,
+             trace: ForwardTrace | None) -> np.ndarray:
+    """Output of the model for the batch ``x``; fills ``trace`` when given one."""
+    B, T, width = x.shape
+    Hp = U = A = logp = None
     if spec.recurrent:
         H = _lstm_forward(params, x, trace)
-        if spec.te_mode == "add_te":
-            if grid_times is None:
-                raise ValueError("add_te mode needs grid_times")
-            te_mat = te_batch(np.asarray(grid_times, dtype=np.float64), spec.te_cfg)
-            if te_mat.shape[0] != T:
-                raise ValueError(f"grid_times has {te_mat.shape[0]} steps, features have {T}")
-            Hp = H + te_mat[None, :, :]
-        else:
-            Hp = H
-        trace.Hp = Hp
+        Hp = H if te_mat is None else H + te_mat[None, :, :]
         if spec.family == "lstm":
             feed = Hp[:, -1]
         else:
@@ -453,24 +476,89 @@ def forward(spec: ModelSpec, params: dict, features, grid_times=None):
             scores = scores - scores.max(axis=2, keepdims=True)
             expd = np.exp(scores)
             A = expd / expd.sum(axis=2, keepdims=True)
-            trace.U, trace.A = U, A
             feed = (A @ Hp).reshape(B, -1)
     else:
         feed = x.reshape(B, T * width)
 
     z = _dense_forward(spec, params, feed, trace)
     _check_finite(z, "output")
-    trace.z_out = z
     if spec.task == "classification":
         shifted = z - z.max(axis=1, keepdims=True)
         logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        trace.logp = shifted - logsum
-        trace.probs = np.exp(trace.logp)
-        out = trace.probs
+        logp = shifted - logsum
+        out = np.exp(logp)
     else:
-        trace.yhat = np.maximum(z[:, 0], 0.0)
-        out = trace.yhat
+        out = np.maximum(z[:, 0], 0.0)
+    if trace is not None:
+        trace.Hp, trace.U, trace.A, trace.z_out, trace.logp = Hp, U, A, z, logp
+        if spec.task == "classification":
+            trace.probs = out
+        else:
+            trace.yhat = out
+    return out
+
+
+def forward(spec: ModelSpec, params: dict, features, grid_times=None):
+    """Run the model; returns (output, trace).
+
+    Output is class probabilities (classification) or a non-negative
+    prediction (regression). ``features`` may be (steps, width) for one
+    episode or (batch, steps, width); ``grid_times`` is required only in
+    add_te mode, where the embedded grid is added to the hidden states.
+    """
+    x, single = _as_batch(features)
+    trace = ForwardTrace(spec=spec, x=x)
+    out = _forward(spec, params, x, _added_te(spec, grid_times, x.shape[1]), trace)
     return (out[0] if single else out), trace
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def predict(spec: ModelSpec, params: dict, features, grid_times=None) -> np.ndarray:
+    """``forward``'s output without the trace, on every CPU the process may use.
+
+    The rows are cut into blocks of ``_BLOCK``. Called from the main thread,
+    the blocks are dealt out in contiguous groups, one per CPU: the calling
+    thread runs the first group and a pool of threads, started for this
+    call, the others. Called from any other thread, which is then one of
+    several workers already (``training.run_cv`` under TEMBED_MAX_WORKERS),
+    the caller runs every block itself, so that the CPUs are not
+    oversubscribed. No block keeps the LSTM gate and cell buffers of every
+    step. The results are joined in row order; when blocks fail, the first
+    one in row order raises.
+    """
+    x, single = _as_batch(features)
+    te_mat = _added_te(spec, grid_times, x.shape[1])  # once, in the calling thread
+    # numpy computes a one-row product with BLAS gemv, which can round
+    # differently from the gemm of a longer block, so a lone last row joins
+    # the block before it
+    bounds = list(range(0, max(len(x) - 1, 1), _BLOCK)) + [len(x)]
+    blocks = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    fan_out = threading.current_thread() is threading.main_thread()
+    n = min(_usable_cpus() if fan_out else 1, len(blocks))
+    groups = [blocks[len(blocks) * g // n : len(blocks) * (g + 1) // n] for g in range(n)]
+
+    def run(group: list[np.ndarray]) -> list[np.ndarray]:
+        return [_forward(spec, params, block, te_mat, None) for block in group]
+
+    if n == 1:
+        outs = run(blocks)
+    else:
+        with ThreadPoolExecutor(n - 1) as pool:
+            # each worker runs in a copy of the caller's context, so numpy's
+            # error state (np.errstate) carries over
+            futures = [pool.submit(contextvars.copy_context().run, run, g) for g in groups[1:]]
+            outs = run(groups[0])
+            for future in futures:
+                outs += future.result()
+    out = np.concatenate(outs)
+    return out[0] if single else out
 
 
 def _as_target_array(spec: ModelSpec, target, batch: int) -> np.ndarray:
@@ -531,8 +619,7 @@ def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target) -> dict
         return grads
 
     if spec.family == "lstm":
-        dHp = np.zeros_like(trace.Hp)
-        dHp[:, -1] = dfeed
+        dHp = dfeed
     else:
         att = spec.attention
         Hp, U, A = trace.Hp, trace.U, trace.A

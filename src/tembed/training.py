@@ -22,7 +22,10 @@ regression are reported in hours.
 
 Set TEMBED_MAX_WORKERS to train the fold-by-run grid with a thread pool;
 results are merged in (fold, run) order, so parallel and serial execution
-produce the same report.
+produce the same report. Scoring (``predict_scores``) goes through
+``models.predict``, which runs a thread per usable CPU when called from the
+main thread; the pool's workers score on their own thread, so the CPUs are
+not oversubscribed.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .models import (
     init_params,
     loss,
     model_input_width,
+    predict,
     zeros_like_params,
 )
 
@@ -220,15 +224,11 @@ def prepare(batch: BinnedBatch, task: str) -> ArrayData:
                      episode_ids=tuple(s.episode_id for s in batch.series))
 
 
-def predict_scores(spec: ModelSpec, params: dict, data: ArrayData, batch_size: int = 256) -> np.ndarray:
+def predict_scores(spec: ModelSpec, params: dict, data: ArrayData) -> np.ndarray:
     """Positive-class probability (classification) or day-scale prediction
     (regression), one value per episode."""
-    outs = []
-    for start in range(0, data.n, batch_size):
-        chunk = data.X[start : start + batch_size]
-        out, _ = forward(spec, params, chunk, grid_times=data.grid_times)
-        outs.append(out[:, 1] if spec.task == "classification" else out)
-    return np.concatenate(outs)
+    out = predict(spec, params, data.X, grid_times=data.grid_times)
+    return out[:, 1] if spec.task == "classification" else out
 
 
 def evaluate(spec: ModelSpec, params: dict, data: ArrayData) -> dict[str, float]:
@@ -481,6 +481,7 @@ def sweep_dropout(spec: ModelSpec, selected_params: dict[int, dict],
         for f in sorted(selected_params):
             for name, value in evaluate(spec, selected_params[f], data).items():
                 per_metric.setdefault(name, []).append(value)
+        del thinned, data  # the next fraction's features need not sit next to these
         for name, values in sorted(per_metric.items()):
             arr = np.asarray(values)
             rows.append({

@@ -116,6 +116,20 @@ class TestIrregularSeries:
         with pytest.raises(ValueError):
             series(times=[1.0], chans=[0], vals=[math.inf])
 
+    @pytest.mark.parametrize("times,chans,vals,match", [
+        ([1.0, 2.0], [0], [1.0, 2.0], "times, channels, values must have equal length"),
+        ([1.0], [0], [1.0, 2.0], "times, channels, values must have equal length"),
+        ([0.5, math.inf], [0, 0], [1.0, 2.0], "non-finite observation time"),
+        ([-math.inf, 1.0], [0, 0], [1.0, 2.0], "non-finite observation time"),
+        ([math.nan], [0], [1.0], "non-finite observation time"),
+        ([2.0, -1e-300], [0, 0], [1.0, 2.0], "negative observation time"),
+        ([1.0, 2.0], [0, 0], [1.0, math.nan], "non-finite observation value"),
+        ([1.0], [0], [-math.inf], "non-finite observation value"),
+    ])
+    def test_rejects_each_bad_input_by_name(self, times, chans, vals, match):
+        with pytest.raises(ValueError, match=f"episode 'e1': {match}"):
+            series(times=times, chans=chans, vals=vals)
+
     def test_empty_episode_is_valid(self):
         assert series().n_obs == 0
 
@@ -504,6 +518,19 @@ class TestDropObservations:
         a = drop_observations(s, 0.5, rng_seed=[5, 2])
         b = drop_observations(s, 0.5, rng_seed=[5, 2])
         npt.assert_array_equal(a.times, b.times)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_equals_the_checked_construction(self, normalized):
+        s = self.make(300)
+        s.normalized = normalized
+        out = drop_observations(s, 0.4, rng_seed=[3, 1])
+        want = IrregularSeries(out.episode_id, out.times.copy(), out.channel_idx.copy(),
+                               out.values.copy(), out.label, out.normalized)
+        assert 0 < out.n_obs < s.n_obs
+        for name in ("times", "channel_idx", "values"):
+            got, ref = getattr(out, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert (out.episode_id, out.label, out.normalized) == ("a", 1.0, normalized)
 
 
 def make_labeled_pool(n=100, pos=0.4, seed=0):

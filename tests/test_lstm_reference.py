@@ -5,7 +5,7 @@ straightforward implementation the fused loop replaced: an overflow-safe
 exp-form sigmoid per gate, one input GEMM and one set of weight-gradient
 products per step. Swapping them into ``tembed.models`` runs the whole
 model (dense head, attention pooling, add_te) through the reference, so
-``forward`` and ``backward`` are compared end to end.
+``forward``, ``backward`` and ``predict`` are compared end to end.
 
 The two differ only in rounding: the fused loop sums the pre-activation
 in another order, takes sigmoid(z) as 0.5 * (1 + tanh(z / 2)) and adds
@@ -20,7 +20,7 @@ import pytest
 
 from tembed import models
 from tembed.encoding import EncoderConfig
-from tembed.models import AttentionSpec, ModelSpec, backward, forward, init_params
+from tembed.models import AttentionSpec, ModelSpec, backward, forward, init_params, predict
 
 RTOL = 1e-13
 HIDDEN = 8
@@ -56,8 +56,9 @@ def reference_lstm_forward(params, x, trace):
         h = o * tc
         I[:, t], F[:, t], G[:, t], O[:, t] = i, f, g, o
         C[:, t], TanhC[:, t], H[:, t] = c, tc, h
-    trace.gates = (I, F, G, O)
-    trace.cells, trace.tanh_cells, trace.H = C, TanhC, H
+    if trace is not None:  # predict keeps no trace
+        trace.gates = (I, F, G, O)
+        trace.cells, trace.tanh_cells, trace.H = C, TanhC, H
     return H
 
 
@@ -68,6 +69,8 @@ def reference_lstm_backward(params, trace, dH, grads):
     I, F, G, O = trace.gates
     C, TanhC, H = trace.cells, trace.tanh_cells, trace.H
     h_size = Wh.shape[0]
+    if dH.ndim == 2:  # the lstm head passes the gradient of its last step only
+        dH = np.concatenate([np.zeros((B, T - 1, h_size)), dH[:, None]], axis=1)
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
     db = np.zeros(4 * h_size)
@@ -107,7 +110,7 @@ def make_spec(family, te_mode):
 
 def run_model(spec, params, x, grid_times, y):
     out, trace = forward(spec, params, x, grid_times=grid_times)
-    return out, trace.H, backward(spec, params, trace, y)
+    return out, trace.H, backward(spec, params, trace, y), predict(spec, params, x, grid_times)
 
 
 def assert_matches(fused, reference, what):
@@ -135,6 +138,8 @@ def test_fused_lstm_matches_per_step_reference(monkeypatch, family, te_mode, B, 
 
     assert_matches(fused[0], reference[0], "output")
     assert_matches(fused[1], reference[1], "hidden states")
+    assert_matches(fused[3], reference[3], "predict output")
+    assert np.array_equal(fused[3], fused[0]), "predict differs from forward"
     assert set(fused[2]) == set(reference[2])
     for name in reference[2]:
         assert_matches(fused[2][name], reference[2][name], f"gradient {name}")

@@ -1,11 +1,15 @@
 """Model specs, initialization, counting, forward/backward, persistence."""
 
 import math
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tembed import models
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import (
     AttentionSpec,
@@ -21,6 +25,7 @@ from tembed.models import (
     load_params,
     loss,
     model_input_width,
+    predict,
     save_params,
     solve_hidden_for_budget,
     zeros_like_params,
@@ -270,6 +275,145 @@ class TestForward:
         params["out.W"] = params["out.W"] * np.inf
         with pytest.raises(NumericError, match="output"):
             forward(spec, params, np.ones((1, 2, 2)))
+
+
+# every valid (family, te_mode) pair and the tasks each family serves
+PREDICT_CASES = [
+    (family, mode)
+    for family in models.FAMILIES
+    for mode in models.TE_MODES
+    if mode != "add_te" or family in ("lstm", "sa_lstm")
+]
+TASKS_OF = {"linreg": ("regression",), "logreg": ("classification",)}
+
+
+def predict_fixture(family, mode, task, steps=6, width=5):
+    te_cfg = TE8 if mode in ("cat_te", "add_te") else None
+    spec = spec_of(family, task=task, te_mode=mode, te_cfg=te_cfg)
+    params = init_params(spec, model_input_width(spec, steps, width), rng_seed=[steps, width])
+    return spec, params, np.arange(float(steps))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPredict:
+    @pytest.mark.parametrize("batch", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("family,mode", PREDICT_CASES)
+    def test_bit_equal_to_forward(self, monkeypatch, family, mode, batch):
+        for task in TASKS_OF.get(family, models.TASKS):
+            spec, params, grid = predict_fixture(family, mode, task)
+            x = np.random.default_rng(batch).normal(size=(batch, 6, 5))
+            want, _ = forward(spec, params, x, grid_times=grid)
+            for cpus in (1, 3):
+                monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
+                got = predict(spec, params, x, grid_times=grid)
+                assert same_bits(got, want), f"{task}, {cpus} CPUs"
+
+    def test_single_episode_squeezes(self):
+        spec, params, grid = predict_fixture("sa_lstm", "add_te", "classification")
+        x = np.random.default_rng(0).normal(size=(6, 5))
+        got = predict(spec, params, x, grid_times=grid)
+        assert got.shape == (2,)
+        assert same_bits(got, forward(spec, params, x, grid_times=grid)[0])
+
+    def test_errors_match_forward(self):
+        spec, params, grid = predict_fixture("lstm", "add_te", "classification")
+        x = np.zeros((3, 6, 5))
+        with pytest.raises(ValueError, match="grid_times"):
+            predict(spec, params, x)
+        with pytest.raises(ValueError, match="steps"):
+            predict(spec, params, x, grid_times=grid[:3])
+        x[2, 1, 0] = np.nan
+        with pytest.raises(NumericError, match="input"):
+            predict(spec, params, x, grid_times=grid)
+
+    @pytest.mark.parametrize("batch,cpus,blocks,pool", [
+        (100, 8, [100], None),  # one block, no pool
+        (129, 8, [129], None),  # a lone last row joins the block before it
+        (130, 8, [128, 2], 1),
+        (385, 2, [128, 128, 129], 1),
+        (300, 8, [128, 128, 44], 2),  # never more groups than blocks
+        (300, 1, [128, 128, 44], None),
+    ])
+    def test_one_group_per_cpu_and_block(self, monkeypatch, batch, cpus, blocks, pool):
+        sizes = []
+        real_forward = models._forward
+
+        def recording_forward(spec, params, x, te_mat, trace):
+            sizes.append(len(x))
+            return real_forward(spec, params, x, te_mat, trace)
+
+        pools = []
+
+        class RecordingPool(models.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(models, "_forward", recording_forward)
+        monkeypatch.setattr(models, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
+        spec, params, _ = predict_fixture("logreg", "none", "classification")
+        predict(spec, params, np.ones((batch, 6, 5)))
+        assert sorted(sizes) == sorted(blocks)
+        assert pools == ([] if pool is None else [pool])
+
+    def test_first_failing_block_in_row_order_raises(self, monkeypatch):
+        real_forward = models._forward
+        failing = set()
+
+        def failing_forward(spec, params, x, te_mat, trace):
+            first = int(x[0, 0, 0])
+            if first in failing:
+                raise NumericError(f"block at row {first}")
+            return real_forward(spec, params, x, te_mat, trace)
+
+        monkeypatch.setattr(models, "_forward", failing_forward)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        spec, params, _ = predict_fixture("logreg", "none", "classification")
+        x = np.broadcast_to(np.arange(640.0)[:, None, None], (640, 6, 5))
+        # blocks start at 0, 128, 256, 384 and 512; the groups are
+        # [0], [128, 256] and [384, 512]
+        for rows, first in (({256, 384}, 256), ({512, 128}, 128), ({0, 512}, 0)):
+            failing.clear()
+            failing.update(rows)
+            with pytest.raises(NumericError, match=f"block at row {first}$"):
+                predict(spec, params, x)
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        spec, params, grid = predict_fixture("sa_lstm", "add_te", "regression")
+        x = np.random.default_rng(8).normal(size=(8 * 128 + 5, 6, 5))
+        want, _ = forward(spec, params, x, grid_times=grid)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [predict(spec, params, x, grid_times=grid) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert same_bits(got, want)
+
+    def test_other_threads_run_their_blocks_themselves(self, monkeypatch):
+        pools, pool_class = [], models.ThreadPoolExecutor
+        monkeypatch.setattr(models, "ThreadPoolExecutor", lambda n: pools.append(n) or pool_class(n))
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+        spec, params, grid = predict_fixture("lstm", "add_te", "classification")
+        x = np.random.default_rng(9).normal(size=(300, 6, 5))
+        results = []
+        caller = threading.Thread(target=lambda: results.append(predict(spec, params, x, grid)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and pools == []
+        assert same_bits(results[0], forward(spec, params, x, grid_times=grid)[0])
+
+    def test_import_starts_no_thread(self):
+        code = "import threading, tembed.cli; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "1"
 
 
 class TestLossAndBackward:

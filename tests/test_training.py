@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tembed import models
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.encoding import EncoderConfig
 from tembed.models import ModelSpec, init_params, model_input_width
@@ -301,15 +302,26 @@ class TestEvaluate:
         want_mae = np.abs(scores_days * 24.0 - data.y * 24.0).mean()
         assert math.isclose(got["mae_hours"], want_mae, rel_tol=1e-12)
 
-    def test_predict_scores_batch_size_invariant(self, pool_and_test):
-        _, test = pool_and_test
-        data = prepare(test, "classification")
-        width = model_input_width(LOGREG, data.X.shape[1], data.X.shape[2])
-        params = init_params(LOGREG, width, 3)
-        npt.assert_array_equal(
-            predict_scores(LOGREG, params, data, batch_size=3),
-            predict_scores(LOGREG, params, data, batch_size=256),
-        )
+    def test_overflow_in_a_later_block_diverges_as_in_serial(self, pool_and_test, monkeypatch):
+        pool, _ = pool_and_test
+        data = prepare(pool, "classification")
+        tr, _ = two_class_split(data)
+        reps = -(-300 // data.n)
+        X = np.concatenate([data.X] * reps)[:300]
+        X[256:] = 1e306  # finite scores at the initial weights, overflow once trained
+        val = ArrayData(X=X, y=np.concatenate([data.y] * reps)[:300],
+                        grid_times=data.grid_times, episode_ids=tuple(map(str, range(300))))
+        hyper = Hyper(lr=1e3, epochs=2, batch_size=8)
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
+            # the error state is the caller's; predict's worker threads must share it
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DivergenceError) as info:
+                train_one(LOGREG, data.subset(tr), val, hyper, seed=0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == "numeric overflow at epoch 0: non-finite activation in layer 'output'"
 
     def test_val_metric_names(self):
         assert val_metric_name("classification") == "auc_roc"
