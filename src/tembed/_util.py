@@ -1,4 +1,4 @@
-"""Shared helpers: deterministic RNG construction, canonical JSON, atomic writes."""
+"""Shared helpers: deterministic RNG construction, canonical JSON, atomic writes, integer checks."""
 
 from __future__ import annotations
 
@@ -12,6 +12,13 @@ from typing import Sequence
 import numpy as np
 
 RNG_ALGORITHM = "philox-4x64"
+
+
+def check_int(name: str, value, low: int):
+    """``value`` if it is an int >= ``low``, else ValueError; a bool is never a count or a seed."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def seed_entropy(seed: int | Sequence[int]) -> list[int]:

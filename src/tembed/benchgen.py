@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import RNG_ALGORITHM, canonical_json, make_rng, sha256_hex
+from ._util import RNG_ALGORITHM, canonical_json, check_int, make_rng, sha256_hex
 from .dataset import ChannelSpec, IrregularSeries, Schema
 
 TASKS = ("timing_classification", "elapsed_regression")
@@ -53,8 +53,8 @@ class SynthConfig:
     value_mix: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_channels < 1:
-            raise ValueError(f"n_channels must be >= 1, got {self.n_channels}")
+        check_int("n_channels", self.n_channels, 1)
+        check_int("rng_seed", self.rng_seed, 0)
         if not (self.rate_per_hour > 0):
             raise ValueError(f"rate_per_hour must be > 0, got {self.rate_per_hour}")
         if not (self.window_hours > 0):
@@ -157,8 +157,7 @@ def gen_dataset(cfg: SynthConfig, n_episodes: int) -> tuple[list[IrregularSeries
     per-episode seeding rule, and the class balance, and contains nothing
     volatile, so identical inputs give a byte-identical manifest.
     """
-    if n_episodes < 1:
-        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    check_int("n_episodes", n_episodes, 1)
     episodes = [gen_episode(cfg, i) for i in range(n_episodes)]
     labels = np.array([ep.label for ep in episodes])
     balance: dict[str, float]

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from ._util import atomic_write_text, float_repr, write_json_document
+from ._util import atomic_write_text, check_int, float_repr, write_json_document
 from .benchgen import SynthConfig, gen_dataset, synth_schema
 from .dataset import (
     NormStats,
@@ -93,6 +93,16 @@ def _require(condition: bool, message: str, problems: list[str]) -> None:
         problems.append(message)
 
 
+def _require_int(name: str, value, low: int, problems: list[str]) -> bool:
+    """Record a problem unless ``value`` is an integer >= ``low``; True if it is."""
+    try:
+        check_int(name, value, low)
+    except ValueError as exc:
+        problems.append(str(exc))
+        return False
+    return True
+
+
 def _fail_if(problems: list[str]) -> None:
     if problems:
         raise CliError("config problems:\n  " + "\n  ".join(problems))
@@ -124,8 +134,8 @@ def cmd_gen(args) -> int:
         except (ValueError, TypeError) as exc:
             problems.append(f"synth: {exc}")
     n_episodes = config.get("n_episodes")
-    if n_episodes is not None and (not isinstance(n_episodes, int) or n_episodes < 1):
-        problems.append(f"n_episodes must be a positive integer, got {n_episodes!r}")
+    if n_episodes is not None:
+        _require_int("n_episodes", n_episodes, 1, problems)
     _fail_if(problems)
 
     _refuse_existing(out_dir, args.force)
@@ -200,8 +210,7 @@ def _load_dataset(data: dict, problems: list[str]):
             problems.append(f"data.synth: {exc}")
             return None
         n = data.get("n_episodes")
-        if not isinstance(n, int) or n < 1:
-            problems.append(f"data.n_episodes must be a positive integer, got {n!r}")
+        if not _require_int("data.n_episodes", n, 1, problems):
             return None
         episodes, _ = gen_dataset(synth, n)
         return episodes, synth_schema(synth)
@@ -251,17 +260,14 @@ def cmd_train(args) -> int:
         hyper = Hyper(**train_cfg)
     except (ValueError, TypeError) as exc:
         problems.append(f"train: {exc}")
-    if not (isinstance(k, int) and k >= 2):
-        problems.append(f"train.k must be an integer >= 2, got {k!r}")
-    if not (isinstance(runs_per_fold, int) and runs_per_fold >= 1):
-        problems.append(f"train.runs_per_fold must be an integer >= 1, got {runs_per_fold!r}")
+    _require_int("train.k", k, 2, problems)
+    _require_int("train.runs_per_fold", runs_per_fold, 1, problems)
 
     test_fraction = config.get("test_fraction", 0.2)
     if not (isinstance(test_fraction, (int, float)) and 0 < test_fraction < 1):
         problems.append(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append(f"seed must be an integer, got {seed!r}")
+    _require_int("seed", seed, 0, problems)
     out_dir = args.out or config.get("out")
     _require(out_dir is not None, "no output directory (config 'out' or --out)", problems)
 
@@ -346,8 +352,7 @@ def cmd_sweep(args) -> int:
         fractions = _parse_fractions(config["fractions"], "config fractions", problems)
     else:
         fractions = list(DEFAULT_FRACTIONS)
-    if not isinstance(config.get("seed", 0), int):
-        problems.append(f"seed must be an integer, got {config['seed']!r}")
+    _require_int("seed", args.seed if args.seed is not None else config.get("seed", 0), 0, problems)
     _fail_if(problems)
     exp_path = os.path.join(run_dir, EXPERIMENT_FILE)
     if not os.path.exists(exp_path):

@@ -3,11 +3,12 @@
 The pipeline goes: load (or generate) :class:`IrregularSeries`, fit
 normalization stats on training episodes only, normalize, bin a list of
 series onto a fixed time grid in whole-array passes (:func:`bin_series`),
-then widen the binned features with either missingness indicators
+then compute the columns that widen them: missingness indicators and gaps
 (:func:`attach_mask`) or sinusoidal time embeddings of each step's hours
-since the latest observation (:func:`attach_te`). Observation dropout and
-fold splitting operate on the series level and are deterministic under
-explicit seeds.
+since the latest observation (:func:`attach_te`), which
+``training.build_features`` writes next to the binned values. Observation
+dropout and fold splitting operate on the series level and are
+deterministic under explicit seeds.
 
 File formats. Observations: CSV with header ``episode_id,time_hours,channel,value``.
 Labels: CSV with header ``episode_id,label``. Schema: JSON mapping channel
@@ -25,7 +26,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -101,21 +102,22 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        if set(d) != {"channels"}:
-            raise ValueError(f"schema document must have exactly one key 'channels', got {sorted(d)}")
+        if not isinstance(d, dict) or set(d) != {"channels"}:
+            got = sorted(d) if isinstance(d, dict) else repr(d)
+            raise ValueError(f"schema document must be an object with exactly one key 'channels', got {got}")
+        if not isinstance(d["channels"], list):
+            raise ValueError(f"schema 'channels' must be a list of channel entries, got {d['channels']!r}")
         specs = []
-        for entry in d["channels"]:
-            allowed = {"name", "kind", "cardinality"}
-            unknown = set(entry) - allowed
+        for i, entry in enumerate(d["channels"]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"schema channel entry {i} must be an object, got {entry!r}")
+            unknown = set(entry) - {"name", "kind", "cardinality"}
             if unknown:
                 raise ValueError(f"unknown schema keys {sorted(unknown)} in channel entry {entry!r}")
-            specs.append(
-                ChannelSpec(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    cardinality=entry.get("cardinality"),
-                )
-            )
+            missing = {"name", "kind"} - set(entry)
+            if missing:
+                raise ValueError(f"schema channel entry {i} {entry!r} lacks {sorted(missing)}")
+            specs.append(ChannelSpec(entry["name"], entry["kind"], entry.get("cardinality")))
         return cls(channels=tuple(specs))
 
 
@@ -211,25 +213,22 @@ class NormStats:
 class BinnedBatch:
     """Fixed-grid view of a list of episodes, stacked on a leading axis.
 
-    ``X`` (episodes, steps, features) holds observed/imputed values (one
-    column per real channel, one-hot columns per categorical channel, plus
-    whatever a feature attachment appended). ``M`` (episodes, steps,
-    channels) marks bins with at least one observation per channel; ``D``
-    is hours since the channel was last observed, with D[:, 0] = 0 and
-    D[:, j] = 0 wherever M[:, j] = 1, else D[:, j-1] + bin_width.
-    ``feature_mode`` records which attachment built X: ``base``, ``mask``
-    (M and D/window appended), or ``te`` (embeddings of ``D.min(axis=2)``,
-    the hours since the latest observation in any channel, appended).
-    ``series`` (the source episodes, in order) carry the ids and labels.
+    ``X`` (episodes, steps, features) holds observed/imputed values: one
+    column per real channel and one-hot columns per categorical channel, as
+    :func:`bin_series` builds it, followed by the time columns of an input
+    regime once ``training.build_features`` has added them. ``M``
+    (episodes, steps, channels) marks bins with at least one observation per
+    channel; ``D`` is hours since the channel was last observed, with
+    D[:, 0] = 0 and D[:, j] = 0 wherever M[:, j] = 1, else
+    D[:, j-1] + bin_width. ``series`` (the source episodes, in order) carry
+    the ids and labels.
     """
 
     series: tuple[IrregularSeries, ...]
-    grid_times: np.ndarray
     X: np.ndarray
     M: np.ndarray | None
     D: np.ndarray | None
     window: float
-    feature_mode: str = "base"
 
 
 # Observation files are read in blocks of about this many characters, each
@@ -593,25 +592,23 @@ def bin_series(series_list: Sequence[IrregularSeries], schema: Schema, window: f
                 filled[..., ch, None].astype(np.int64) == np.arange(spec.cardinality))
         col += spec.n_columns
 
-    return BinnedBatch(series=series_list, grid_times=step_idx * float(bin_width),
-                       X=X, M=M, D=D, window=float(window))
+    return BinnedBatch(series=series_list, X=X, M=M, D=D, window=float(window))
 
 
-def attach_mask(batch: BinnedBatch) -> BinnedBatch:
-    """Append missingness indicators and window-scaled observation gaps to X.
+def attach_mask(batch: BinnedBatch) -> list[np.ndarray]:
+    """The missingness indicators and window-scaled observation gaps to
+    append to X, as (episodes, steps, channels) column blocks.
 
-    Adds 2 columns per channel: M as-is and D divided by the window so the
-    gap feature stays in [0, 1].
+    That is 2 columns per channel: M as-is and D divided by the window so
+    the gap feature stays in [0, 1].
     """
-    if batch.feature_mode != "base":
-        raise ValueError(f"features already attached (mode {batch.feature_mode!r})")
-    X = np.concatenate([batch.X, batch.M, batch.D / batch.window], axis=2)
-    return replace(batch, X=X, feature_mode="mask")
+    return [batch.M, batch.D / batch.window]
 
 
-def attach_te(batch: BinnedBatch, cfg: EncoderConfig) -> BinnedBatch:
-    """Append, for each bin, the time embedding of the hours since the
-    latest observation in any channel to X.
+def attach_te(batch: BinnedBatch, cfg: EncoderConfig) -> list[np.ndarray]:
+    """The column block to append to X, alone in a list: for each bin, the
+    cfg.dim-wide time embedding of the hours since the latest observation in
+    any channel.
 
     That gap is ``batch.D.min(axis=2)``; before the episode's first
     observation it counts from the window start, as ``D`` does. The
@@ -620,8 +617,6 @@ def attach_te(batch: BinnedBatch, cfg: EncoderConfig) -> BinnedBatch:
     integration: the embedding columns carry the timing, so the mask and
     gap features are left out of the feature set.
     """
-    if batch.feature_mode != "base":
-        raise ValueError(f"features already attached (mode {batch.feature_mode!r})")
     if cfg.base_kind != "temporal":
         raise ValueError("attach_te needs a temporal encoder config")
     if cfg.max_time < batch.window:
@@ -630,9 +625,7 @@ def attach_te(batch: BinnedBatch, cfg: EncoderConfig) -> BinnedBatch:
             "observation gaps would alias"
         )
     gaps = batch.D.min(axis=2)
-    te_cols = te_batch(gaps.reshape(-1), cfg).reshape(gaps.shape + (cfg.dim,))
-    X = np.concatenate([batch.X, te_cols], axis=2)
-    return replace(batch, X=X, feature_mode="te")
+    return [te_batch(gaps.reshape(-1), cfg).reshape(gaps.shape + (cfg.dim,))]
 
 
 def drop_observations(series: IrregularSeries, keep_fraction: float, rng_seed) -> IrregularSeries:

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_int
+
 POSITIONAL_BASE = 10000.0
 
 _TWO_PI = 2.0 * math.pi
@@ -66,9 +68,7 @@ class EncoderConfig:
     base_kind: str = "temporal"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise ValueError(f"dim must be an int, got {self.dim!r}")
-        if self.dim < 2 or self.dim % 2 != 0:
+        if check_int("dim", self.dim, 2) % 2 != 0:
             raise ValueError(f"dim must be an even integer >= 2, got {self.dim}")
         if not (math.isfinite(self.max_time) and self.max_time > 0):
             raise ValueError(f"max_time must be a positive finite real, got {self.max_time}")

@@ -44,17 +44,11 @@ def auc_roc(y_true, y_score) -> float:
     """
     t, s, n_pos = _validate_binary(y_true, y_score)
     n_neg = t.size - n_pos
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(t.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < t.size:
-        j = i
-        while j + 1 < t.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # 1-based ranks i+1 .. j+1 averaged over the tied block
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    # a tied group spans the 1-based ranks end - count + 1 .. end; its mean
+    # is a whole or half number, so exact
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[group]
     rank_sum_pos = float(ranks[t == 1.0].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -10,9 +10,10 @@ head). Time information enters through one of four input regimes:
   module, the model just sees a wider input);
 * ``cat_te``: values plus embedding columns of each step's hours since the
   latest observation in any channel (also built by the dataset module);
-* ``add_te``: embeddings of the grid times added to the LSTM hidden
-  states before pooling, which requires the embedding dimension to equal
-  the hidden size.
+* ``add_te``: embedding columns of the grid times, the last ``te_cfg.dim``
+  input columns (built by ``training.build_features``); ``forward`` splits
+  them off and adds them to the LSTM hidden states before pooling, which
+  requires the embedding dimension to equal the hidden size.
 
 Classification heads end in a 2-way softmax, regression heads in a single
 linear unit clamped at zero. The self-attentive pooling computes
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import contextvars
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -42,8 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write_bytes, make_rng
-from .encoding import EncoderConfig, te_batch
+from ._util import atomic_write_bytes, check_int, make_rng
+from .encoding import EncoderConfig
+from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
 FAMILIES = ("linreg", "logreg", "mlp", "lstm", "sa_lstm")
 TE_MODES = ("none", "mask", "cat_te", "add_te")
@@ -74,10 +77,10 @@ class AttentionSpec:
     penalty_c: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.d_a < 1 or self.r < 1:
-            raise ValueError(f"d_a and r must be >= 1, got {self.d_a}, {self.r}")
-        if self.penalty_c < 0:
-            raise ValueError(f"penalty_c must be >= 0, got {self.penalty_c}")
+        check_int("d_a", self.d_a, 1)
+        check_int("r", self.r, 1)
+        if isinstance(self.penalty_c, bool) or not 0 <= self.penalty_c < math.inf:
+            raise ValueError(f"penalty_c must be a finite number >= 0, got {self.penalty_c!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,9 @@ class ModelSpec:
         if self.te_mode not in TE_MODES:
             raise ValueError(f"te_mode must be one of {TE_MODES}, got {self.te_mode!r}")
         recurrent = self.family in ("lstm", "sa_lstm")
-        if recurrent and self.hidden < 1:
-            raise ValueError(f"{self.family} needs hidden >= 1, got {self.hidden}")
+        check_int("hidden", self.hidden, 1 if recurrent else 0)
+        for width in (*self.head_widths, *self.mlp_widths):
+            check_int("layer width", width, 1)
         if not recurrent and self.hidden != 0:
             raise ValueError(f"{self.family} has no hidden state; leave hidden at 0")
         if (self.attention is not None) != (self.family == "sa_lstm"):
@@ -118,8 +122,6 @@ class ModelSpec:
                 raise ValueError(
                     f"add_te needs te dimension == hidden size, got {self.te_cfg.dim} != {self.hidden}"
                 )
-        if any(w < 1 for w in self.head_widths) or any(w < 1 for w in self.mlp_widths):
-            raise ValueError("layer widths must be >= 1")
 
     @property
     def n_out(self) -> int:
@@ -177,7 +179,10 @@ def alias(spec: ModelSpec) -> str:
 
 def model_input_width(spec: ModelSpec, steps: int, per_step_width: int) -> int:
     """The input_dim expected by init/count: per-step width for recurrent
-    families, flattened width for the rest."""
+    families, flattened width for the rest. The add_te embedding columns
+    go to the hidden states, not into the LSTM, so they do not count."""
+    if spec.te_mode == "add_te":
+        per_step_width -= spec.te_cfg.dim
     return per_step_width if spec.recurrent else steps * per_step_width
 
 
@@ -446,26 +451,17 @@ def _as_batch(features) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _added_te(spec: ModelSpec, grid_times, steps: int) -> np.ndarray | None:
-    """The (steps, hidden) embedding add_te adds to the hidden states, else None."""
-    if spec.te_mode != "add_te":
-        return None
-    if grid_times is None:
-        raise ValueError("add_te mode needs grid_times")
-    te_mat = te_batch(np.asarray(grid_times, dtype=np.float64), spec.te_cfg)
-    if te_mat.shape[0] != steps:
-        raise ValueError(f"grid_times has {te_mat.shape[0]} steps, features have {steps}")
-    return te_mat
-
-
-def _forward(spec: ModelSpec, params: dict, x: np.ndarray, te_mat: np.ndarray | None,
+def _forward(spec: ModelSpec, params: dict, x: np.ndarray,
              trace: ForwardTrace | None) -> np.ndarray:
     """Output of the model for the batch ``x``; fills ``trace`` when given one."""
     B, T, width = x.shape
     Hp = U = A = logp = None
     if spec.recurrent:
-        H = _lstm_forward(params, x, trace)
-        Hp = H if te_mat is None else H + te_mat[None, :, :]
+        split = width - (spec.te_cfg.dim if spec.te_mode == "add_te" else 0)
+        if trace is not None:
+            trace.x = x[..., :split]
+        H = _lstm_forward(params, x[..., :split], trace)
+        Hp = H if split == width else H + x[..., split:]
         if spec.family == "lstm":
             feed = Hp[:, -1]
         else:
@@ -498,17 +494,18 @@ def _forward(spec: ModelSpec, params: dict, x: np.ndarray, te_mat: np.ndarray | 
     return out
 
 
-def forward(spec: ModelSpec, params: dict, features, grid_times=None):
+def forward(spec: ModelSpec, params: dict, features):
     """Run the model; returns (output, trace).
 
     Output is class probabilities (classification) or a non-negative
     prediction (regression). ``features`` may be (steps, width) for one
-    episode or (batch, steps, width); ``grid_times`` is required only in
-    add_te mode, where the embedded grid is added to the hidden states.
+    episode or (batch, steps, width). In add_te mode their last
+    ``te_cfg.dim`` columns are added to the LSTM hidden states, and the
+    LSTM and the trace's ``x`` hold only the columns before them.
     """
     x, single = _as_batch(features)
     trace = ForwardTrace(spec=spec, x=x)
-    out = _forward(spec, params, x, _added_te(spec, grid_times, x.shape[1]), trace)
+    out = _forward(spec, params, x, trace)
     return (out[0] if single else out), trace
 
 
@@ -520,7 +517,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def predict(spec: ModelSpec, params: dict, features, grid_times=None) -> np.ndarray:
+def predict(spec: ModelSpec, params: dict, features) -> np.ndarray:
     """``forward``'s output without the trace, on every CPU the process may use.
 
     The rows are cut into blocks of ``_BLOCK``. Called from the main thread,
@@ -534,7 +531,6 @@ def predict(spec: ModelSpec, params: dict, features, grid_times=None) -> np.ndar
     one in row order raises.
     """
     x, single = _as_batch(features)
-    te_mat = _added_te(spec, grid_times, x.shape[1])  # once, in the calling thread
     # numpy computes a one-row product with BLAS gemv, which can round
     # differently from the gemm of a longer block, so a lone last row joins
     # the block before it
@@ -545,7 +541,7 @@ def predict(spec: ModelSpec, params: dict, features, grid_times=None) -> np.ndar
     groups = [blocks[len(blocks) * g // n : len(blocks) * (g + 1) // n] for g in range(n)]
 
     def run(group: list[np.ndarray]) -> list[np.ndarray]:
-        return [_forward(spec, params, block, te_mat, None) for block in group]
+        return [_forward(spec, params, block, None) for block in group]
 
     if n == 1:
         outs = run(blocks)

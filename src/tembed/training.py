@@ -33,11 +33,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, make_rng, seed_entropy
+from ._util import canonical_json, check_int, make_rng, seed_entropy
 from .dataset import (
     BinnedBatch,
     IrregularSeries,
@@ -49,6 +49,7 @@ from .dataset import (
     label_convert,
     split_folds,
 )
+from .encoding import te_batch
 from .metrics import auc_roc, average_precision, explained_variance, mae, rmse
 from .models import (
     ModelSpec,
@@ -87,10 +88,8 @@ class Hyper:
             raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
         if isinstance(self.weight_decay, bool) or not 0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
-        for name, low in (("epochs", 0), ("batch_size", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -169,7 +168,6 @@ class ArrayData:
 
     X: np.ndarray
     y: np.ndarray
-    grid_times: np.ndarray
     episode_ids: tuple[str, ...]
 
     @property
@@ -178,7 +176,7 @@ class ArrayData:
 
     def subset(self, idx) -> "ArrayData":
         ids = tuple(self.episode_ids[int(i)] for i in np.asarray(idx))
-        return ArrayData(X=self.X[idx], y=self.y[idx], grid_times=self.grid_times, episode_ids=ids)
+        return ArrayData(X=self.X[idx], y=self.y[idx], episode_ids=ids)
 
 
 # Episodes featurized per pass: the working arrays of bin_series and the
@@ -188,21 +186,26 @@ _CHUNK = 256
 
 def build_features(series_list, schema: Schema, window: float, bin_width: float,
                    spec: ModelSpec) -> BinnedBatch:
-    """Bin the series and attach the feature columns that ``spec.te_mode``
-    calls for (add_te needs no extra columns; the model adds the embeddings
-    to its hidden states). The result keeps X only; M and D are None."""
+    """Bin the series and write the values and the time columns that
+    ``spec.te_mode`` calls for side by side into one X. add_te's columns
+    embed the grid times; ``models.forward`` splits them off again and adds
+    them to the hidden states. The result keeps X only; M and D are None."""
     series_list = tuple(series_list)
     X = None
     for start in range(0, max(len(series_list), 1), _CHUNK):  # no series: one empty pass
         part = bin_series(series_list[start : start + _CHUNK], schema, window, bin_width)
+        columns = [part.X]
         if spec.te_mode == "mask":
-            part = attach_mask(part)
+            columns += attach_mask(part)
         elif spec.te_mode == "cat_te":
-            part = attach_te(part, spec.te_cfg)
+            columns += attach_te(part, spec.te_cfg)
+        elif spec.te_mode == "add_te":
+            grid_te = te_batch(np.arange(part.X.shape[1]) * float(bin_width), spec.te_cfg)
+            columns.append(np.broadcast_to(grid_te, part.X.shape[:2] + grid_te.shape[1:]))
         if X is None:
-            X = np.empty((len(series_list),) + part.X.shape[1:])
-        X[start : start + len(part.series)] = part.X
-    return replace(part, series=series_list, X=X, M=None, D=None)
+            X = np.empty((len(series_list), part.X.shape[1], sum(c.shape[2] for c in columns)))
+        np.concatenate(columns, axis=2, out=X[start : start + len(part.series)])
+    return BinnedBatch(series=series_list, X=X, M=None, D=None, window=float(window))
 
 
 def prepare(batch: BinnedBatch, task: str) -> ArrayData:
@@ -220,14 +223,13 @@ def prepare(batch: BinnedBatch, task: str) -> ArrayData:
             raise ValueError("classification labels must be 0 or 1")
     else:
         y = label_convert(y, "to_days")
-    return ArrayData(X=batch.X, y=y, grid_times=batch.grid_times.copy(),
-                     episode_ids=tuple(s.episode_id for s in batch.series))
+    return ArrayData(X=batch.X, y=y, episode_ids=tuple(s.episode_id for s in batch.series))
 
 
 def predict_scores(spec: ModelSpec, params: dict, data: ArrayData) -> np.ndarray:
     """Positive-class probability (classification) or day-scale prediction
     (regression), one value per episode."""
-    out = predict(spec, params, data.X, grid_times=data.grid_times)
+    out = predict(spec, params, data.X)
     return out[:, 1] if spec.task == "classification" else out
 
 
@@ -287,17 +289,19 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
     rng = make_rng(entropy + [1])
 
     best = TrainResult(params=clone_params(params), history=[])
-    best.best_val = _val_metric(spec, params, val_data)
     state = init_opt_state(params, lr=hyper.lr, weight_decay=hyper.weight_decay)
-    for epoch in range(hyper.epochs):
-        perm = rng.permutation(train_data.n)
-        total = 0.0
-        try:
+    where = "before the first epoch"
+    try:
+        best.best_val = _val_metric(spec, params, val_data)
+        for epoch in range(hyper.epochs):
+            where = f"at epoch {epoch}"
+            perm = rng.permutation(train_data.n)
+            total = 0.0
             for start in range(0, train_data.n, hyper.batch_size):
                 idx = perm[start : start + hyper.batch_size]
                 xb = train_data.X[idx]
                 yb = train_data.y[idx]
-                out, trace = forward(spec, params, xb, grid_times=train_data.grid_times)
+                out, trace = forward(spec, params, xb)
                 batch_loss = loss(spec, out, yb, trace)
                 if not np.isfinite(batch_loss):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
@@ -306,12 +310,12 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
                 total += batch_loss * len(idx)
             train_loss = total / train_data.n
             val = _val_metric(spec, params, val_data)
-        except NumericError as exc:
-            raise DivergenceError(f"numeric overflow at epoch {epoch}: {exc}") from exc
-        best.history.append({"epoch": epoch, "train_loss": float(train_loss), "val_metric": float(val)})
-        if _is_better(spec.task, val, best.best_val):
-            best.best_val = float(val)
-            best.params = clone_params(params)
+            best.history.append({"epoch": epoch, "train_loss": float(train_loss), "val_metric": float(val)})
+            if _is_better(spec.task, val, best.best_val):
+                best.best_val = float(val)
+                best.params = clone_params(params)
+    except NumericError as exc:
+        raise DivergenceError(f"numeric overflow {where}: {exc}") from exc
     return best
 
 

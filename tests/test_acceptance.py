@@ -14,7 +14,7 @@ from conftest import record_criterion
 
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.dataset import apply_norm, fit_norm
-from tembed.encoding import EncoderConfig, estimate_delta, shift_map, te
+from tembed.encoding import EncoderConfig, estimate_delta, shift_map, te, te_batch
 from tembed.metrics import auc_roc, average_precision, explained_variance, mae, rmse
 from tembed.models import (
     AttentionSpec,
@@ -144,20 +144,21 @@ def test_criterion_04_gradient_correctness():
     for fi, (family, task, modes) in enumerate(GRAD_CASES):
         for mode in modes:
             spec = _grad_spec(family, task, mode)
-            width = 4 + (spec.te_cfg.dim if mode == "cat_te" else 0)
+            width = 4 + (spec.te_cfg.dim if mode in ("cat_te", "add_te") else 0)
             params = init_params(spec, model_input_width(spec, steps, width), rng_seed=2)
             if task == "regression":
                 params["out.b"] = params["out.b"] + 1.0  # keep the output clamp active
             x = np.random.default_rng(20 + fi).normal(size=(3, steps, width))
             y = (np.array([0.0, 1.0, 1.0]) if task == "classification"
                  else np.array([0.5, 1.5, 0.25]))
-            grid_times = grid if mode == "add_te" else None
+            if mode == "add_te":  # the embedded grid rides after the inputs
+                x[..., 4:] = te_batch(grid, spec.te_cfg)
 
             def loss_at(p):
-                out, trace = forward(spec, p, x, grid_times=grid_times)
+                out, trace = forward(spec, p, x)
                 return loss(spec, out, y, trace)
 
-            _, trace = forward(spec, params, x, grid_times=grid_times)
+            _, trace = forward(spec, params, x)
             grads = backward(spec, params, trace, y)
             for name in params:
                 flat = params[name].reshape(-1)

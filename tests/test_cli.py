@@ -84,7 +84,7 @@ class TestGen:
         code, _, stderr = run(["gen", "--config", cfg], capsys)
         assert code == 1
         assert "missing 'synth'" in stderr
-        assert "n_episodes must be a positive integer" in stderr
+        assert "n_episodes must be an integer >= 1, got 0" in stderr
         assert "unknown keys ['typo']" in stderr
         assert "no output directory" in stderr
 
@@ -308,6 +308,7 @@ class TestSweep:
 
 
 CAT_TE_LSTM = {"family": "lstm", "hidden": 4, "te_mode": "cat_te"}
+SA_LSTM = {"family": "sa_lstm", "hidden": 4}
 
 
 @pytest.mark.parametrize("command,config,messages,n_problems", [
@@ -318,14 +319,43 @@ CAT_TE_LSTM = {"family": "lstm", "hidden": 4, "te_mode": "cat_te"}
     ("train", {"model": dict(CAT_TE_LSTM, te_max_time=None)}, ["model: "], 1),
     ("train", {"train": {"epochs": 1.5}}, ["train: epochs must be an integer >= 0, got 1.5"], 1),
     ("train", {"train": {"lr": True}}, ["train: lr must be a finite number > 0, got True"], 1),
-    ("sweep", {"seed": 1.5}, ["seed must be an integer, got 1.5"], 1),
+    ("sweep", {"seed": 1.5}, ["seed must be an integer >= 0, got 1.5"], 1),
     ("sweep", {"fractions": []}, ["config fractions must be one or more numbers in (0, 1]"], 1),
     ("sweep", {"fractions": ["a"]}, ["config fractions must be comma-separated numbers"], 1),
+    ("train", {"model": {"family": "lstm", "hidden": 4.5}},
+     ["model: hidden must be an integer >= 1, got 4.5"], 1),
+    ("train", {"model": {"family": "lstm", "hidden": True}},
+     ["model: hidden must be an integer >= 1, got True"], 1),
+    ("train", {"model": {"family": "lstm", "hidden": 4, "head_widths": [3.5]}},
+     ["model: layer width must be an integer >= 1, got 3.5"], 1),
+    ("train", {"model": dict(SA_LSTM, attention={"r": 2.5})},
+     ["model.attention: r must be an integer >= 1, got 2.5"], 1),
+    ("train", {"model": dict(SA_LSTM, attention={"penalty_c": float("nan")})},
+     ["model.attention: penalty_c must be a finite number >= 0, got nan"], 1),
+    ("train", {"data": {"synth": dict(SYNTH, n_channels=2.5), "n_episodes": 28}},
+     ["data.synth: n_channels must be an integer >= 1, got 2.5"], 1),
+    ("train", {"data": {"synth": dict(SYNTH, n_channels=True), "n_episodes": 28}},
+     ["data.synth: n_channels must be an integer >= 1, got True"], 1),
+    ("train", {"data": {"synth": dict(SYNTH, rng_seed=1.5), "n_episodes": 28}},
+     ["data.synth: rng_seed must be an integer >= 0, got 1.5"], 1),
+    ("train", {"data": {"synth": SYNTH, "n_episodes": True}},
+     ["data.n_episodes must be an integer >= 1, got True"], 1),
+    ("train", {"train": dict(TRAIN_CONFIG["train"], runs_per_fold=True)},
+     ["train.runs_per_fold must be an integer >= 1, got True"], 1),
+    ("train", {"seed": -1}, ["seed must be an integer >= 0, got -1"], 1),
+    ("gen", {"n_episodes": True}, ["n_episodes must be an integer >= 1, got True"], 1),
+    ("gen", {"synth": dict(SYNTH, n_channels=True)},
+     ["synth: n_channels must be an integer >= 1, got True"], 1),
 ], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
-        "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers"])
+        "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers",
+        "hidden-float", "hidden-bool", "head-width-float", "attention-r-float", "penalty-c-nan",
+        "synth-channels-float", "synth-channels-bool", "synth-seed-float", "n-episodes-bool",
+        "runs-per-fold-bool", "train-seed-negative", "gen-n-episodes-bool", "gen-synth-channels-bool"])
 def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
     if command == "train":
         config = dict(TRAIN_CONFIG, out=str(tmp_path / "o"), **config)
+    elif command == "gen":
+        config = dict({"synth": SYNTH, "n_episodes": 5}, out=str(tmp_path / "o"), **config)
     else:
         config = dict(run_dir=run_dir, out=str(tmp_path / "o"), **config)
     code, _, stderr = run([command, "--config", write_config(tmp_path, config)], capsys)

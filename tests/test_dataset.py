@@ -1,5 +1,6 @@
 """Series containers, CSV round trips, normalization, binning, splits."""
 
+import json
 import math
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestSchema:
             Schema.from_dict({"channels": [], "extra": 1})
         with pytest.raises(ValueError):
             Schema.from_dict({"channels": [{"name": "a", "kind": "real", "units": "mmHg"}]})
+
+    @pytest.mark.parametrize("doc,match", [
+        ({"channels": [{"name": "a", "kind": "real"}, {"kind": "real"}]},
+         r"channel entry 1 \{'kind': 'real'\} lacks \['name'\]"),
+        ({"channels": 5}, "'channels' must be a list of channel entries, got 5"),
+        ({"channels": ["ch00"]}, "channel entry 0 must be an object, got 'ch00'"),
+        ([{"name": "a", "kind": "real"}], "schema document must be an object"),
+    ], ids=["entry-without-name", "channels-not-a-list", "entry-not-an-object", "document-not-an-object"])
+    def test_from_dict_names_the_malformed_entry(self, tmp_path, doc, match):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_schema(str(path))
 
 
 class TestIrregularSeries:
@@ -354,11 +368,6 @@ class TestBinning:
         s = series("a", [0.1], [0], [1.0])
         assert binned(s, REAL1, window=5.1, bin_width=1.7).X.shape[1] == 3
 
-    def test_grid_times_are_bin_left_edges(self):
-        s = series("a", [0.1], [0], [1.0])
-        ep = binned(s, REAL1, window=3.0, bin_width=1.0)
-        npt.assert_array_equal(ep.grid_times, [0.0, 1.0, 2.0])
-
     def test_observations_beyond_window_ignored(self):
         s = series("a", [1.5, 3.9, 4.0, 7.2], [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0])
         ep = binned(s, REAL1, window=4.0, bin_width=1.0)
@@ -404,43 +413,37 @@ class TestFeatureAttachment:
         return binned(s, REAL2, window=4.0, bin_width=1.0)
 
     def test_mask_appends_indicators_and_scaled_gaps(self):
-        ep = attach_mask(self.base())
-        assert ep.feature_mode == "mask"
-        assert ep.X.shape == (1, 4, 6)
-        npt.assert_array_equal(ep.X[..., 2:4], self.base().M)
-        npt.assert_array_equal(ep.X[..., 4:6], self.base().D / 4.0)
+        indicators, gaps = attach_mask(self.base())
+        npt.assert_array_equal(indicators, self.base().M)
+        npt.assert_array_equal(gaps, self.base().D / 4.0)
 
     def test_mask_gap_feature_bounded(self):
-        ep = attach_mask(self.base())
-        assert ep.X[..., 4:].max() <= 1.0
-        assert ep.X[..., 4:].min() >= 0.0
+        _, gaps = attach_mask(self.base())
+        assert gaps.max() <= 1.0
+        assert gaps.min() >= 0.0
 
     def test_te_appends_observation_gap_embeddings_bit_exactly(self):
         cfg = EncoderConfig.temporal(4, 48.0)
-        ep = attach_te(self.base(), cfg)
-        assert ep.feature_mode == "te"
-        assert ep.X.shape == (1, 4, 6)
+        [te_cols] = attach_te(self.base(), cfg)
         # ch0 seen in bin 0, ch1 in bin 2: hours since the latest observation
         # in any channel are 0, 1, 0, 1 at the four bin starts
-        npt.assert_array_equal(ep.X[0, :, 2:], te_batch(np.array([0.0, 1.0, 0.0, 1.0]), cfg))
+        npt.assert_array_equal(te_cols[0], te_batch(np.array([0.0, 1.0, 0.0, 1.0]), cfg))
 
     def test_te_columns_follow_each_episodes_observation_times(self):
         cfg = EncoderConfig.temporal(4, 48.0)
         early = binned(series("a", [0.5, 1.5], [0, 1], [1.0, 4.0]), REAL2, 4.0, 1.0)
         late = binned(series("b", [2.5, 3.5], [0, 1], [1.0, 4.0]), REAL2, 4.0, 1.0)
-        assert not np.array_equal(attach_te(early, cfg).X[..., 2:], attach_te(late, cfg).X[..., 2:])
+        assert not np.array_equal(attach_te(early, cfg)[0], attach_te(late, cfg)[0])
         # ch1 never observed, ch0 only at 1.5 h: bin 0 counts from the window
         # start, bin 1 holds the observation, later bins count from it
         lone = binned(series("c", [1.5], [0], [2.0]), REAL2, 5.0, 1.0)
-        npt.assert_array_equal(attach_te(lone, cfg).X[0, :, 2:],
+        npt.assert_array_equal(attach_te(lone, cfg)[0][0],
                                te_batch(np.array([0.0, 0.0, 1.0, 2.0, 3.0]), cfg))
 
     def test_te_leaves_mask_and_delta_out_of_features(self):
-        base = self.base()
-        ep = attach_te(base, EncoderConfig.temporal(4, 48.0))
-        # the values, then the 4 embedding columns; no M or D/window columns
-        assert ep.X.shape == (1, 4, 2 + 4)
-        npt.assert_array_equal(ep.X[..., :2], base.X)
+        blocks = attach_te(self.base(), EncoderConfig.temporal(4, 48.0))
+        # the 4 embedding columns only; no M or D/window columns
+        assert [block.shape for block in blocks] == [(1, 4, 4)]
 
     def test_te_requires_temporal_config_covering_window(self):
         with pytest.raises(ValueError, match="temporal"):
@@ -448,19 +451,14 @@ class TestFeatureAttachment:
         with pytest.raises(ValueError, match="max_time"):
             attach_te(self.base(), EncoderConfig.temporal(4, 2.0))
 
-    def test_double_attachment_refused(self):
-        cfg = EncoderConfig.temporal(4, 48.0)
-        with pytest.raises(ValueError, match="already attached"):
-            attach_mask(attach_mask(self.base()))
-        with pytest.raises(ValueError, match="already attached"):
-            attach_te(attach_mask(self.base()), cfg)
-        with pytest.raises(ValueError, match="already attached"):
-            attach_mask(attach_te(self.base(), cfg))
-
     def test_label_and_identity_survive(self):
-        ep = attach_mask(self.base())
-        assert ep.series[0].label == 1.0
-        assert ep.series[0].episode_id == "a"
+        # the attachments return columns and leave the batch as it was
+        base = self.base()
+        attach_mask(base)
+        attach_te(base, EncoderConfig.temporal(4, 48.0))
+        assert base.X.shape == (1, 4, 2)
+        assert base.series[0].label == 1.0
+        assert base.series[0].episode_id == "a"
 
 
 class TestDropObservations:

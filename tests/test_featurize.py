@@ -80,6 +80,11 @@ def oracle_te(X, D, cfg):
     return np.hstack([X, te_batch(D.min(axis=1), cfg)])
 
 
+def oracle_add_te(X, bin_width, cfg):
+    """add_te's columns: the embedded left edges of the bins."""
+    return np.hstack([X, te_batch(np.arange(X.shape[0]) * float(bin_width), cfg)])
+
+
 def oracle_features(series_list, schema, window, bin_width, te_mode, cfg=None):
     """X stacked from per-episode features, as ``prepare`` used to build it."""
     out = []
@@ -89,6 +94,8 @@ def oracle_features(series_list, schema, window, bin_width, te_mode, cfg=None):
             X = oracle_mask(X, M, D, window)
         elif te_mode == "cat_te":
             X = oracle_te(X, D, cfg)
+        elif te_mode == "add_te":
+            X = oracle_add_te(X, bin_width, cfg)
         out.append(X)
     return np.stack(out)
 
@@ -155,7 +162,6 @@ def test_bin_series_matches_per_episode_oracle(case):
     want = [oracle_bin(s, schema, window, bin_width) for s in episodes]
     for got, part in zip((batch.X, batch.M, batch.D), zip(*want)):
         assert_same_bits(got, np.stack(part))
-    assert_same_bits(batch.grid_times, np.arange(batch.X.shape[1]) * float(bin_width))
     assert batch.series == tuple(episodes)
 
 
@@ -166,9 +172,10 @@ def test_attachments_match_per_episode_oracle(case):
     cfg = EncoderConfig.temporal(4, 2.0 * window)
     batch = bin_series(episodes, schema, window, bin_width)
     want = [oracle_bin(s, schema, window, bin_width) for s in episodes]
-    assert_same_bits(attach_mask(batch).X,
+    assert_same_bits(np.concatenate([batch.X, *attach_mask(batch)], axis=2),
                      np.stack([oracle_mask(X, M, D, window) for X, M, D in want]))
-    assert_same_bits(attach_te(batch, cfg).X, np.stack([oracle_te(X, D, cfg) for X, _, D in want]))
+    assert_same_bits(np.concatenate([batch.X, *attach_te(batch, cfg)], axis=2),
+                     np.stack([oracle_te(X, D, cfg) for X, _, D in want]))
 
 
 @PROPERTY

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from tembed import models
-from tembed.encoding import EncoderConfig
+from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import AttentionSpec, ModelSpec, backward, forward, init_params, predict
 
 RTOL = 1e-13
@@ -108,9 +108,9 @@ def make_spec(family, te_mode):
                      te_cfg=te_cfg, attention=attention)
 
 
-def run_model(spec, params, x, grid_times, y):
-    out, trace = forward(spec, params, x, grid_times=grid_times)
-    return out, trace.H, backward(spec, params, trace, y), predict(spec, params, x, grid_times)
+def run_model(spec, params, x, y):
+    out, trace = forward(spec, params, x)
+    return out, trace.H, backward(spec, params, trace, y), predict(spec, params, x)
 
 
 def assert_matches(fused, reference, what):
@@ -129,12 +129,14 @@ def test_fused_lstm_matches_per_step_reference(monkeypatch, family, te_mode, B, 
     rng = np.random.default_rng([B, T, 1])
     x = rng.normal(size=(B, T, WIDTH))
     y = rng.integers(0, 2, size=B).astype(float)
-    grid_times = np.arange(T, dtype=float)
+    if te_mode == "add_te":  # the embedded grid times ride after the inputs
+        grid_te = te_batch(np.arange(T, dtype=float), spec.te_cfg)
+        x = np.concatenate([x, np.broadcast_to(grid_te, (B, T, HIDDEN))], axis=2)
 
-    fused = run_model(spec, params, x, grid_times, y)
+    fused = run_model(spec, params, x, y)
     monkeypatch.setattr(models, "_lstm_forward", reference_lstm_forward)
     monkeypatch.setattr(models, "_lstm_backward", reference_lstm_backward)
-    reference = run_model(spec, params, x, grid_times, y)
+    reference = run_model(spec, params, x, y)
 
     assert_matches(fused[0], reference[0], "output")
     assert_matches(fused[1], reference[1], "hidden states")

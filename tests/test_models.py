@@ -1,6 +1,7 @@
 """Model specs, initialization, counting, forward/backward, persistence."""
 
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -237,22 +238,25 @@ class TestForward:
         added = spec_of("lstm", hidden=4, te_mode="add_te", te_cfg=cfg)
         params = init_params(base, 3, rng_seed=4)
         x = np.random.default_rng(4).normal(size=(2, 5, 3))
-        grid = np.arange(5.0)
+        grid_te = te_batch(np.arange(5.0), cfg)
         out_base, trace_base = forward(base, params, x)
-        out_added, trace_added = forward(added, params, x, grid_times=grid)
-        npt.assert_allclose(
-            trace_added.Hp, trace_base.H + te_batch(grid, cfg)[None], rtol=0, atol=1e-12
-        )
+        out_added, trace_added = forward(added, params, with_grid_te(added, x))
+        npt.assert_allclose(trace_added.Hp, trace_base.H + grid_te[None], rtol=0, atol=1e-12)
+        # the LSTM and its trace see the inputs without the embedding columns
+        npt.assert_array_equal(trace_added.x, x)
+        npt.assert_array_equal(trace_added.H, trace_base.H)
         assert not np.allclose(out_base, out_added)
 
     def test_add_te_requires_matching_grid(self):
+        # the embedding columns ride after the inputs; features without them
+        # do not fit the LSTM weights
         spec = spec_of("lstm", hidden=4, te_mode="add_te", te_cfg=EncoderConfig.temporal(4, 48.0))
+        assert model_input_width(spec, 5, 3 + 4) == 3
         params = init_params(spec, 3, rng_seed=0)
         x = np.zeros((1, 5, 3))
-        with pytest.raises(ValueError, match="grid_times"):
+        with pytest.raises(ValueError):
             forward(spec, params, x)
-        with pytest.raises(ValueError, match="steps"):
-            forward(spec, params, x, grid_times=np.arange(3.0))
+        forward(spec, params, with_grid_te(spec, x))
 
     def test_attention_rows_are_distributions(self):
         spec = spec_of("sa_lstm")
@@ -287,11 +291,22 @@ PREDICT_CASES = [
 TASKS_OF = {"linreg": ("regression",), "logreg": ("classification",)}
 
 
+def with_grid_te(spec, x):
+    """``x`` with add_te's embedding columns of the grid times 0, 1, 2, ...
+    appended, as ``training.build_features`` writes them; else ``x``."""
+    if spec.te_mode != "add_te":
+        return x
+    grid_te = te_batch(np.arange(float(x.shape[-2])), spec.te_cfg)
+    return np.concatenate([x, np.broadcast_to(grid_te, x.shape[:-1] + grid_te.shape[1:])], axis=-1)
+
+
 def predict_fixture(family, mode, task, steps=6, width=5):
+    """Spec and params for ``width`` inputs per step (add_te's columns not counted)."""
     te_cfg = TE8 if mode in ("cat_te", "add_te") else None
     spec = spec_of(family, task=task, te_mode=mode, te_cfg=te_cfg)
-    params = init_params(spec, model_input_width(spec, steps, width), rng_seed=[steps, width])
-    return spec, params, np.arange(float(steps))
+    x_width = width + (TE8.dim if mode == "add_te" else 0)
+    params = init_params(spec, model_input_width(spec, steps, x_width), rng_seed=[steps, width])
+    return spec, params
 
 
 def same_bits(a, b):
@@ -303,31 +318,30 @@ class TestPredict:
     @pytest.mark.parametrize("family,mode", PREDICT_CASES)
     def test_bit_equal_to_forward(self, monkeypatch, family, mode, batch):
         for task in TASKS_OF.get(family, models.TASKS):
-            spec, params, grid = predict_fixture(family, mode, task)
-            x = np.random.default_rng(batch).normal(size=(batch, 6, 5))
-            want, _ = forward(spec, params, x, grid_times=grid)
+            spec, params = predict_fixture(family, mode, task)
+            x = with_grid_te(spec, np.random.default_rng(batch).normal(size=(batch, 6, 5)))
+            want, _ = forward(spec, params, x)
             for cpus in (1, 3):
                 monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
-                got = predict(spec, params, x, grid_times=grid)
+                got = predict(spec, params, x)
                 assert same_bits(got, want), f"{task}, {cpus} CPUs"
 
     def test_single_episode_squeezes(self):
-        spec, params, grid = predict_fixture("sa_lstm", "add_te", "classification")
-        x = np.random.default_rng(0).normal(size=(6, 5))
-        got = predict(spec, params, x, grid_times=grid)
+        spec, params = predict_fixture("sa_lstm", "add_te", "classification")
+        x = with_grid_te(spec, np.random.default_rng(0).normal(size=(6, 5)))
+        got = predict(spec, params, x)
         assert got.shape == (2,)
-        assert same_bits(got, forward(spec, params, x, grid_times=grid)[0])
+        assert same_bits(got, forward(spec, params, x)[0])
 
     def test_errors_match_forward(self):
-        spec, params, grid = predict_fixture("lstm", "add_te", "classification")
+        spec, params = predict_fixture("lstm", "add_te", "classification")
         x = np.zeros((3, 6, 5))
-        with pytest.raises(ValueError, match="grid_times"):
+        with pytest.raises(ValueError):  # no embedding columns
             predict(spec, params, x)
-        with pytest.raises(ValueError, match="steps"):
-            predict(spec, params, x, grid_times=grid[:3])
+        x = with_grid_te(spec, x)
         x[2, 1, 0] = np.nan
         with pytest.raises(NumericError, match="input"):
-            predict(spec, params, x, grid_times=grid)
+            predict(spec, params, x)
 
     @pytest.mark.parametrize("batch,cpus,blocks,pool", [
         (100, 8, [100], None),  # one block, no pool
@@ -341,9 +355,9 @@ class TestPredict:
         sizes = []
         real_forward = models._forward
 
-        def recording_forward(spec, params, x, te_mat, trace):
+        def recording_forward(spec, params, x, trace):
             sizes.append(len(x))
-            return real_forward(spec, params, x, te_mat, trace)
+            return real_forward(spec, params, x, trace)
 
         pools = []
 
@@ -355,7 +369,7 @@ class TestPredict:
         monkeypatch.setattr(models, "_forward", recording_forward)
         monkeypatch.setattr(models, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
-        spec, params, _ = predict_fixture("logreg", "none", "classification")
+        spec, params = predict_fixture("logreg", "none", "classification")
         predict(spec, params, np.ones((batch, 6, 5)))
         assert sorted(sizes) == sorted(blocks)
         assert pools == ([] if pool is None else [pool])
@@ -364,15 +378,15 @@ class TestPredict:
         real_forward = models._forward
         failing = set()
 
-        def failing_forward(spec, params, x, te_mat, trace):
+        def failing_forward(spec, params, x, trace):
             first = int(x[0, 0, 0])
             if first in failing:
                 raise NumericError(f"block at row {first}")
-            return real_forward(spec, params, x, te_mat, trace)
+            return real_forward(spec, params, x, trace)
 
         monkeypatch.setattr(models, "_forward", failing_forward)
         monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        spec, params, _ = predict_fixture("logreg", "none", "classification")
+        spec, params = predict_fixture("logreg", "none", "classification")
         x = np.broadcast_to(np.arange(640.0)[:, None, None], (640, 6, 5))
         # blocks start at 0, 128, 256, 384 and 512; the groups are
         # [0], [128, 256] and [384, 512]
@@ -383,14 +397,14 @@ class TestPredict:
                 predict(spec, params, x)
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
-        spec, params, grid = predict_fixture("sa_lstm", "add_te", "regression")
-        x = np.random.default_rng(8).normal(size=(8 * 128 + 5, 6, 5))
-        want, _ = forward(spec, params, x, grid_times=grid)
+        spec, params = predict_fixture("sa_lstm", "add_te", "regression")
+        x = with_grid_te(spec, np.random.default_rng(8).normal(size=(8 * 128 + 5, 6, 5)))
+        want, _ = forward(spec, params, x)
         monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = [predict(spec, params, x, grid_times=grid) for _ in range(3)]
+            results = [predict(spec, params, x) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         for got in results:
@@ -400,19 +414,22 @@ class TestPredict:
         pools, pool_class = [], models.ThreadPoolExecutor
         monkeypatch.setattr(models, "ThreadPoolExecutor", lambda n: pools.append(n) or pool_class(n))
         monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
-        spec, params, grid = predict_fixture("lstm", "add_te", "classification")
-        x = np.random.default_rng(9).normal(size=(300, 6, 5))
+        spec, params = predict_fixture("lstm", "add_te", "classification")
+        x = with_grid_te(spec, np.random.default_rng(9).normal(size=(300, 6, 5)))
         results = []
-        caller = threading.Thread(target=lambda: results.append(predict(spec, params, x, grid)))
+        caller = threading.Thread(target=lambda: results.append(predict(spec, params, x)))
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive() and pools == []
-        assert same_bits(results[0], forward(spec, params, x, grid_times=grid)[0])
+        assert same_bits(results[0], forward(spec, params, x)[0])
 
     def test_import_starts_no_thread(self):
         code = "import threading, tembed.cli; print(threading.active_count())"
+        # the child imports the package under test, wherever pytest found it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True)
+                             check=True, env=env)
         assert out.stdout.strip() == "1"
 
 
@@ -477,7 +494,7 @@ class TestLossAndBackward:
         spec = spec_of("sa_lstm", te_mode="add_te", te_cfg=TE8, hidden=8)
         params = init_params(spec, 4, rng_seed=2)
         x = np.random.default_rng(9).normal(size=(3, 5, 4))
-        _, trace = forward(spec, params, x, grid_times=np.arange(5.0))
+        _, trace = forward(spec, params, with_grid_te(spec, x))
         grads = backward(spec, params, trace, np.array([0.0, 1.0, 1.0]))
         assert set(grads) == set(params)
         for name, g in grads.items():

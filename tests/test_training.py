@@ -9,7 +9,7 @@ import pytest
 
 from tembed import models
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
-from tembed.encoding import EncoderConfig
+from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import ModelSpec, init_params, model_input_width
 from tembed.training import (
     DEFAULT_FRACTIONS,
@@ -170,7 +170,6 @@ class TestPrepare:
         assert data.n == 20
         assert set(np.unique(data.y)) <= {0.0, 1.0}
         assert data.episode_ids == tuple(s.episode_id for s in pool.series)
-        npt.assert_array_equal(data.grid_times, np.arange(6) * BIN_WIDTH)
 
     def test_subset_keeps_alignment(self, pool_and_test):
         pool, _ = pool_and_test
@@ -213,14 +212,17 @@ class TestBuildFeatures:
         assert widths["mask"] == 2 + 2 * CFG.n_channels
         assert widths["cat_te"] == 2 + 4
 
-    def test_add_te_adds_no_columns(self, corpus):
+    def test_add_te_appends_embedded_bin_left_edges(self, corpus):
         pool_series, _ = corpus
-        spec = ModelSpec(
-            family="lstm", task="classification", hidden=4,
-            te_mode="add_te", te_cfg=EncoderConfig.temporal(4, WINDOW),
-        )
-        batch = build_features(pool_series[:1], SCHEMA, WINDOW, BIN_WIDTH, spec)
-        assert batch.X.shape[2] == 2
+        te_cfg = EncoderConfig.temporal(4, WINDOW)
+        spec = ModelSpec(family="lstm", task="classification", hidden=4, te_mode="add_te", te_cfg=te_cfg)
+        X = build_features(pool_series[:3], SCHEMA, WINDOW, BIN_WIDTH, spec).X
+        assert X.shape[2] == 2 + 4
+        left_edges = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+        for episode in X:
+            npt.assert_array_equal(episode[:, 2:], te_batch(left_edges, te_cfg))
+        # the model adds those columns to its hidden states; the LSTM reads the rest
+        assert model_input_width(spec, X.shape[1], X.shape[2]) == 2
 
 
 class TestTrainOne:
@@ -280,6 +282,19 @@ class TestTrainOne:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
             train_one(LOGREG, train, val, Hyper(lr=1e12, epochs=25, batch_size=7), seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_overflow_before_the_first_epoch_diverges(self, pool_and_test, seed):
+        # the initial validation metric overflows: a DivergenceError, which
+        # run_cv records as a failed run, not a NumericError that ends it
+        pool, _ = pool_and_test
+        data = prepare(pool, "classification")
+        tr, va = two_class_split(data)
+        val = data.subset(va)
+        val.X[...] = 1.7e308
+        with np.errstate(over="ignore"), \
+                pytest.raises(DivergenceError, match="before the first epoch: .*'output'"):
+            train_one(LOGREG, data.subset(tr), val, Hyper(epochs=2, batch_size=7), seed=seed)
+
 
 class TestEvaluate:
     def test_classification_metric_names(self, pool_and_test):
@@ -310,7 +325,7 @@ class TestEvaluate:
         X = np.concatenate([data.X] * reps)[:300]
         X[256:] = 1e306  # finite scores at the initial weights, overflow once trained
         val = ArrayData(X=X, y=np.concatenate([data.y] * reps)[:300],
-                        grid_times=data.grid_times, episode_ids=tuple(map(str, range(300))))
+                        episode_ids=tuple(map(str, range(300))))
         hyper = Hyper(lr=1e3, epochs=2, batch_size=8)
         messages = []
         for cpus in (1, 2):
