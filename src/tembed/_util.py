@@ -1,10 +1,12 @@
-"""Shared helpers: deterministic RNG construction, canonical JSON, atomic writes, integer checks."""
+"""Shared helpers: deterministic RNG construction, canonical JSON, atomic writes, number checks."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import locale
+import math
+import numbers
 import os
 import tempfile
 from typing import Sequence
@@ -18,6 +20,15 @@ def check_int(name: str, value, low: int):
     """``value`` if it is an int >= ``low``, else ValueError; a bool is never a count or a seed."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_real(name: str, value, low: float, *, strict: bool):
+    """``value`` if it is a finite real number > ``low`` (``strict``) or >= ``low``,
+    else ValueError; a bool is never a real value."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or (value <= low if strict else value < low)):
+        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}")
     return value
 
 

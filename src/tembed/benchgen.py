@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import RNG_ALGORITHM, canonical_json, check_int, make_rng, sha256_hex
+from ._util import RNG_ALGORITHM, canonical_json, check_int, check_real, make_rng, sha256_hex
 from .dataset import ChannelSpec, IrregularSeries, Schema
 
 TASKS = ("timing_classification", "elapsed_regression")
@@ -55,13 +55,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         check_int("n_channels", self.n_channels, 1)
         check_int("rng_seed", self.rng_seed, 0)
-        if not (self.rate_per_hour > 0):
-            raise ValueError(f"rate_per_hour must be > 0, got {self.rate_per_hour}")
-        if not (self.window_hours > 0):
-            raise ValueError(f"window_hours must be > 0, got {self.window_hours}")
+        check_real("rate_per_hour", self.rate_per_hour, 0, strict=True)
+        check_real("window_hours", self.window_hours, 0, strict=True)
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if not (0 < self.gap_threshold_hours < self.window_hours):
+        if check_real("gap_threshold_hours", self.gap_threshold_hours, 0, strict=True) >= self.window_hours:
             raise ValueError(
                 f"gap_threshold_hours must lie in (0, window), got {self.gap_threshold_hours}"
             )

@@ -14,8 +14,9 @@ Subcommands:
 
 Every command validates its whole config up front and reports all
 problems at once, refuses to overwrite existing outputs unless --force is
-given, and is deterministic for a fixed config and seed. TEMBED_MAX_WORKERS
-controls how many threads the train command uses for the fold-by-run grid.
+given, and is deterministic for a fixed config and seed. The train command
+runs its fold-by-run grid on a thread per CPU the process may use; its
+outputs do not depend on that count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 
 import numpy as np
 
-from ._util import atomic_write_text, check_int, float_repr, write_json_document
+from ._util import atomic_write_text, check_int, check_real, float_repr, write_json_document
 from .benchgen import SynthConfig, gen_dataset, synth_schema
 from .dataset import (
     NormStats,
@@ -93,10 +94,10 @@ def _require(condition: bool, message: str, problems: list[str]) -> None:
         problems.append(message)
 
 
-def _require_int(name: str, value, low: int, problems: list[str]) -> bool:
-    """Record a problem unless ``value`` is an integer >= ``low``; True if it is."""
+def _require_valid(problems: list[str], check, *args, **kwargs) -> bool:
+    """Record the problem ``check(*args, **kwargs)`` raises, if any; True if it passes."""
     try:
-        check_int(name, value, low)
+        check(*args, **kwargs)
     except ValueError as exc:
         problems.append(str(exc))
         return False
@@ -106,14 +107,6 @@ def _require_int(name: str, value, low: int, problems: list[str]) -> bool:
 def _fail_if(problems: list[str]) -> None:
     if problems:
         raise CliError("config problems:\n  " + "\n  ".join(problems))
-
-
-def _as_float(value) -> float:
-    """``float(value)``, or NaN, which range checks reject, for a non-number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return float("nan")
 
 
 def cmd_gen(args) -> int:
@@ -135,7 +128,7 @@ def cmd_gen(args) -> int:
             problems.append(f"synth: {exc}")
     n_episodes = config.get("n_episodes")
     if n_episodes is not None:
-        _require_int("n_episodes", n_episodes, 1, problems)
+        _require_valid(problems, check_int, "n_episodes", n_episodes, 1)
     _fail_if(problems)
 
     _refuse_existing(out_dir, args.force)
@@ -210,7 +203,7 @@ def _load_dataset(data: dict, problems: list[str]):
             problems.append(f"data.synth: {exc}")
             return None
         n = data.get("n_episodes")
-        if not _require_int("data.n_episodes", n, 1, problems):
+        if not _require_valid(problems, check_int, "data.n_episodes", n, 1):
             return None
         episodes, _ = gen_dataset(synth, n)
         return episodes, synth_schema(synth)
@@ -245,11 +238,10 @@ def cmd_train(args) -> int:
         problems.append(f"task must be 'classification' or 'regression', got {task!r}")
     features = dict(config.get("features", {}))
     _check_keys(features, {"window", "bin_width"}, "features", problems)
-    window = _as_float(features.get("window", 48.0))
-    bin_width = _as_float(features.get("bin_width", 1.0))
-    if not (window > 0 and bin_width > 0):
-        problems.append("features.window and features.bin_width must be positive numbers, got "
-                        f"{features.get('window', 48.0)!r} and {features.get('bin_width', 1.0)!r}")
+    window = features.get("window", 48.0)
+    bin_width = features.get("bin_width", 1.0)
+    window_ok = _require_valid(problems, check_real, "features.window", window, 0, strict=True)
+    _require_valid(problems, check_real, "features.bin_width", bin_width, 0, strict=True)
 
     train_cfg = dict(config.get("train", {}))
     _check_keys(train_cfg, _TRAIN_KEYS, "train", problems)
@@ -260,20 +252,20 @@ def cmd_train(args) -> int:
         hyper = Hyper(**train_cfg)
     except (ValueError, TypeError) as exc:
         problems.append(f"train: {exc}")
-    _require_int("train.k", k, 2, problems)
-    _require_int("train.runs_per_fold", runs_per_fold, 1, problems)
+    _require_valid(problems, check_int, "train.k", k, 2)
+    _require_valid(problems, check_int, "train.runs_per_fold", runs_per_fold, 1)
 
     test_fraction = config.get("test_fraction", 0.2)
     if not (isinstance(test_fraction, (int, float)) and 0 < test_fraction < 1):
         problems.append(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    _require_int("seed", seed, 0, problems)
+    _require_valid(problems, check_int, "seed", seed, 0)
     out_dir = args.out or config.get("out")
     _require(out_dir is not None, "no output directory (config 'out' or --out)", problems)
 
     spec = None
     if task in ("classification", "regression") and isinstance(config.get("model"), dict):
-        spec = _build_model_spec(config["model"], task, window if window > 0 else None, problems)
+        spec = _build_model_spec(config["model"], task, window if window_ok else None, problems)
     loaded = None
     if isinstance(config.get("data"), dict):
         loaded = _load_dataset(config["data"], problems)
@@ -281,6 +273,7 @@ def cmd_train(args) -> int:
     _refuse_existing(out_dir, args.force)
 
     episodes, schema = loaded
+    window, bin_width = float(window), float(bin_width)
     stratify = task == "classification"
     pool_raw, test_raw = train_test_split(episodes, test_fraction, [seed, 1], stratify=stratify)
     stats = fit_norm(pool_raw, schema)
@@ -352,7 +345,8 @@ def cmd_sweep(args) -> int:
         fractions = _parse_fractions(config["fractions"], "config fractions", problems)
     else:
         fractions = list(DEFAULT_FRACTIONS)
-    _require_int("seed", args.seed if args.seed is not None else config.get("seed", 0), 0, problems)
+    _require_valid(problems, check_int, "seed",
+                   args.seed if args.seed is not None else config.get("seed", 0), 0)
     _fail_if(problems)
     exp_path = os.path.join(run_dir, EXPERIMENT_FILE)
     if not os.path.exists(exp_path):
@@ -443,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tembed",
         description="Time-embedding toolkit: synthetic benchmarks, model training, "
                     "dropout sweeps, and timestamp encoding.",
-        epilog="Set TEMBED_MAX_WORKERS to parallelize the train command's fold-by-run grid.",
+        epilog="train and sweep use every CPU the process may run on; limit them with "
+               "taskset, e.g. `taskset -c 0 tembed train ...` to train serially.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

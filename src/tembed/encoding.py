@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int
+from ._util import check_int, check_real
 
 POSITIONAL_BASE = 10000.0
 
@@ -70,8 +70,7 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if check_int("dim", self.dim, 2) % 2 != 0:
             raise ValueError(f"dim must be an even integer >= 2, got {self.dim}")
-        if not (math.isfinite(self.max_time) and self.max_time > 0):
-            raise ValueError(f"max_time must be a positive finite real, got {self.max_time}")
+        check_real("max_time", self.max_time, 0, strict=True)
         if self.base_kind not in ("positional", "temporal"):
             raise ValueError(f"base_kind must be 'positional' or 'temporal', got {self.base_kind!r}")
 
@@ -81,7 +80,9 @@ class EncoderConfig:
 
     @classmethod
     def temporal(cls, dim: int, max_time: float) -> "EncoderConfig":
-        return cls(dim=dim, max_time=float(max_time), base_kind="temporal")
+        # checked before float() turns a bool into a number
+        return cls(dim=dim, max_time=float(check_real("max_time", max_time, 0, strict=True)),
+                   base_kind="temporal")
 
     @property
     def base(self) -> float:

@@ -24,8 +24,9 @@ c * ||A A^T - I||_F^2 so the r attention rows stay diverse.
 (batch x steps x features); ``loss`` and ``backward`` mirror that, with
 batch losses averaged. Gradients are exact reverse-mode derivatives of
 ``loss``, verified against central finite differences in the test suite.
-``predict`` returns what ``forward`` returns without its trace: called from
-the main thread, it runs blocks of rows on a thread per usable CPU, and
+``backward`` consumes the trace: the LSTM gate gradients overwrite its gate
+buffer. ``predict`` returns what ``forward`` returns without its trace: it
+runs blocks of rows on a thread per usable CPU through ``fan_out``, and
 without a trace the LSTM keeps one step of its gate and cell buffers
 instead of every step.
 Parameters live in plain dicts of named float64 arrays; all functions
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import contextvars
 import json
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write_bytes, check_int, make_rng
+from ._util import atomic_write_bytes, check_int, check_real, make_rng
 from .encoding import EncoderConfig
 from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
@@ -79,8 +79,7 @@ class AttentionSpec:
     def __post_init__(self) -> None:
         check_int("d_a", self.d_a, 1)
         check_int("r", self.r, 1)
-        if isinstance(self.penalty_c, bool) or not 0 <= self.penalty_c < math.inf:
-            raise ValueError(f"penalty_c must be a finite number >= 0, got {self.penalty_c!r}")
+        check_real("penalty_c", self.penalty_c, 0, strict=False)
 
 
 @dataclass(frozen=True)
@@ -367,24 +366,43 @@ def _lstm_forward(params: dict, x: np.ndarray, trace: ForwardTrace | None) -> np
 
 
 def _lstm_backward(params: dict, trace: ForwardTrace, dH: np.ndarray, grads: dict) -> None:
-    x, C, TanhC, H = trace.x, trace.cells, trace.tanh_cells, trace.H
+    """Consumes the trace: the gate gradients overwrite its gate buffer, and its
+    cell and tanh-cell buffers end up holding f and dc/dh for the recurrence."""
+    x, H = trace.x, trace.H
     B, T, width = x.shape
     Wh = params["lstm.Wh"]
     h_size = Wh.shape[0]
-    I, F, G, O = (trace.gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
-    # Local derivative factors of all steps at once: s(1 - s) for each sigmoid
-    # gate s times g, c_prev and tanh(c) for i, f and o, and (1 - g^2) * i for
-    # g. The loop scales the i, f and g factors by dc and the o factor by dh.
-    dgates = np.subtract(1.0, trace.gates)
-    dgates *= trace.gates
-    dI, dF, dG, dO = (dgates[..., k * h_size : (k + 1) * h_size] for k in range(4))
-    np.subtract(1.0, G ** 2, out=dG)
-    dI *= G
-    dF[0] = 0.0
-    dF[1:] *= C[:-1]
-    dG *= I
-    dO *= TanhC
-    dc_dh = O * (1.0 - TanhC ** 2)
+    dgates = trace.gates
+    I, F, G, O = (dgates[..., k * h_size : (k + 1) * h_size] for k in range(4))
+    # Local derivative factors of all steps at once, written over the gates:
+    # (1 - s) s for each sigmoid gate s times g, c_prev and tanh(c) for i, f
+    # and o, and (1 - g^2) i for g. The loop scales the i, f and g factors by
+    # dc and the o factor by dh. Every product keeps its operand order, e.g.
+    # ((1 - s) * s) * g: the saved parameters and reports depend on its rounding.
+    factor = np.subtract(1.0, I)  # the one temporary, later the previous hidden states
+    factor *= I
+    factor *= G
+    np.square(G, out=G)
+    np.subtract(1.0, G, out=G)
+    G *= I
+    I[...] = factor
+    C = trace.cells
+    np.subtract(1.0, F, out=factor)
+    factor *= F
+    factor[0] = 0.0
+    factor[1:] *= C[:-1]
+    forget = C
+    forget[...] = F  # c is spent; the recurrence needs f
+    F[...] = factor
+    TanhC = trace.tanh_cells
+    np.subtract(1.0, O, out=factor)
+    factor *= O
+    factor *= TanhC
+    dc_dh = TanhC
+    np.square(TanhC, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    np.multiply(O, dc_dh, out=dc_dh)
+    O[...] = factor
     blocks = dgates.reshape(T, B, 4, h_size)
     # dH is (batch, steps, h) when the head reads every step (SA-LSTM). The
     # lstm head reads only the last one and passes its (batch, h) gradient,
@@ -398,9 +416,10 @@ def _lstm_backward(params: dict, trace: ForwardTrace, dH: np.ndarray, grads: dic
         dc += dc_next
         blocks[t, :, :3] *= dc[:, None]
         blocks[t, :, 3] *= dh
-        dc_next = dc * F[t]
+        dc_next = dc * forget[t]
         dh_next = dgates[t] @ Wh.T
-    H_prev = np.zeros((T, B, h_size))
+    H_prev = factor
+    H_prev[0] = 0.0
     H_prev[1:] = H[:, :-1].transpose(1, 0, 2)
     flat = dgates.reshape(T * B, 4 * h_size)
     grads["lstm.Wx"] = x.transpose(1, 0, 2).reshape(T * B, width).T @ flat
@@ -439,21 +458,21 @@ def _dense_backward(spec: ModelSpec, params: dict, trace: ForwardTrace, dz_out: 
 
 
 def _as_batch(features) -> tuple[np.ndarray, bool]:
-    """Finite (batch, steps, width) float64 features, and whether the caller
-    passed one (steps, width) episode."""
+    """(batch, steps, width) float64 features, and whether the caller passed
+    one (steps, width) episode."""
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 2
     if single:
         x = x[None]
     if x.ndim != 3:
         raise ValueError(f"features must be (steps, width) or (batch, steps, width), got {x.shape}")
-    _check_finite(x, "input")
     return x, single
 
 
 def _forward(spec: ModelSpec, params: dict, x: np.ndarray,
              trace: ForwardTrace | None) -> np.ndarray:
     """Output of the model for the batch ``x``; fills ``trace`` when given one."""
+    _check_finite(x, "input")
     B, T, width = x.shape
     Hp = U = A = logp = None
     if spec.recurrent:
@@ -517,43 +536,67 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def predict(spec: ModelSpec, params: dict, features) -> np.ndarray:
+# Set inside fan_out's groups: work they start runs on their own thread.
+_IN_FAN_OUT = contextvars.ContextVar("tembed_in_fan_out", default=False)
+
+
+def fan_out(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on a thread per usable CPU.
+
+    The items are dealt out in contiguous groups, one per CPU: the calling
+    thread runs the first group and a pool of threads, started for this
+    call, the others. Each group runs in a copy of the caller's context, so
+    numpy's error state (np.errstate) carries over, and marked as inside a
+    fan-out: a fan_out called from a group runs every item on its own thread,
+    so that the CPUs are not oversubscribed. The results come back in item
+    order; when items fail, the first one in item order raises, and the other
+    groups stop after their current item (so an interrupt does not wait for
+    whole groups).
+    """
+    n = min(1 if _IN_FAN_OUT.get() else _usable_cpus(), len(items))
+    groups = [items[len(items) * g // n : len(items) * (g + 1) // n] for g in range(n)]
+    failed = threading.Event()
+
+    def run(group: list) -> list:
+        _IN_FAN_OUT.set(True)
+        return [fn(item) for item in group if not failed.is_set()]
+
+    if n <= 1:
+        return contextvars.copy_context().run(run, items)
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, g) for g in groups[1:]]
+        try:
+            results = contextvars.copy_context().run(run, groups[0])
+            for future in futures:
+                results += future.result()
+        except BaseException:
+            failed.set()
+            raise
+    return results
+
+
+def predict(spec: ModelSpec, params: dict, features, rows=None) -> np.ndarray:
     """``forward``'s output without the trace, on every CPU the process may use.
 
-    The rows are cut into blocks of ``_BLOCK``. Called from the main thread,
-    the blocks are dealt out in contiguous groups, one per CPU: the calling
-    thread runs the first group and a pool of threads, started for this
-    call, the others. Called from any other thread, which is then one of
-    several workers already (``training.run_cv`` under TEMBED_MAX_WORKERS),
-    the caller runs every block itself, so that the CPUs are not
-    oversubscribed. No block keeps the LSTM gate and cell buffers of every
-    step. The results are joined in row order; when blocks fail, the first
-    one in row order raises.
+    With ``rows``, the output for ``features[rows]``, gathered block by block
+    instead of copied whole. The rows are cut into blocks of ``_BLOCK``,
+    which ``fan_out`` deals out to the CPUs. No block keeps the LSTM gate and
+    cell buffers of every step, and each block checks its own inputs. The
+    results are joined in row order; when blocks fail, the first one in row
+    order raises.
     """
     x, single = _as_batch(features)
+    n = len(x) if rows is None else len(rows)
     # numpy computes a one-row product with BLAS gemv, which can round
     # differently from the gemm of a longer block, so a lone last row joins
     # the block before it
-    bounds = list(range(0, max(len(x) - 1, 1), _BLOCK)) + [len(x)]
-    blocks = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    fan_out = threading.current_thread() is threading.main_thread()
-    n = min(_usable_cpus() if fan_out else 1, len(blocks))
-    groups = [blocks[len(blocks) * g // n : len(blocks) * (g + 1) // n] for g in range(n)]
+    bounds = list(range(0, max(n - 1, 1), _BLOCK)) + [n]
 
-    def run(group: list[np.ndarray]) -> list[np.ndarray]:
-        return [_forward(spec, params, block, None) for block in group]
+    def run(block: tuple[int, int]) -> np.ndarray:
+        a, b = block
+        return _forward(spec, params, x[a:b] if rows is None else x[rows[a:b]], None)
 
-    if n == 1:
-        outs = run(blocks)
-    else:
-        with ThreadPoolExecutor(n - 1) as pool:
-            # each worker runs in a copy of the caller's context, so numpy's
-            # error state (np.errstate) carries over
-            futures = [pool.submit(contextvars.copy_context().run, run, g) for g in groups[1:]]
-            outs = run(groups[0])
-            for future in futures:
-                outs += future.result()
-    out = np.concatenate(outs)
+    out = np.concatenate(fan_out(run, list(zip(bounds[:-1], bounds[1:]))))
     return out[0] if single else out
 
 
@@ -594,7 +637,10 @@ def loss(spec: ModelSpec, output, target, trace: ForwardTrace) -> float:
 
 
 def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target) -> dict:
-    """Exact gradients of the loss with respect to every parameter."""
+    """Exact gradients of the loss with respect to every parameter.
+
+    Consumes the trace: the LSTM families write their gate gradients over
+    ``trace.gates``, so a second backward of the same trace is wrong."""
     if trace.spec is not spec and trace.spec != spec:
         raise ValueError("trace was produced by a different model spec")
     B = trace.x.shape[0]

@@ -20,24 +20,23 @@ Validation metrics: AUC-ROC for classification (higher is better), MAE on
 the day scale for regression (lower is better). Test metrics for
 regression are reported in hours.
 
-Set TEMBED_MAX_WORKERS to train the fold-by-run grid with a thread pool;
-results are merged in (fold, run) order, so parallel and serial execution
-produce the same report. Scoring (``predict_scores``) goes through
-``models.predict``, which runs a thread per usable CPU when called from the
-main thread; the pool's workers score on their own thread, so the CPUs are
-not oversubscribed.
+``run_cv`` trains the fold-by-run grid on a thread per usable CPU through
+``models.fan_out`` and merges the results in (fold, run) order, so the
+report does not depend on the CPU count; limit the process's CPUs (for
+example with ``taskset -c 0``) to train serially. Scoring
+(``predict_scores``) goes through ``models.predict``, which fans out the
+same way when called outside a job and runs on the job's own thread inside
+one, so the CPUs are not oversubscribed. A job reads its fold's episodes
+from the pool's X through row indices instead of copying them.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, check_int, make_rng, seed_entropy
+from ._util import canonical_json, check_int, check_real, make_rng, seed_entropy
 from .dataset import (
     BinnedBatch,
     IrregularSeries,
@@ -57,6 +56,7 @@ from .models import (
     alias,
     backward,
     clone_params,
+    fan_out,
     forward,
     init_params,
     loss,
@@ -64,8 +64,6 @@ from .models import (
     predict,
     zeros_like_params,
 )
-
-WORKERS_ENV = "TEMBED_MAX_WORKERS"
 
 _FOLD_SALT = 0xF01D
 
@@ -84,10 +82,8 @@ class Hyper:
     weight_decay: float = 1e-2
 
     def __post_init__(self) -> None:
-        if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if isinstance(self.weight_decay, bool) or not 0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
+        check_real("lr", self.lr, 0, strict=True)
+        check_real("weight_decay", self.weight_decay, 0, strict=False)
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
 
@@ -164,19 +160,35 @@ def opt_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptState
 
 @dataclass
 class ArrayData:
-    """Episodes stacked into dense batch tensors for training/evaluation."""
+    """Episodes stacked into dense batch tensors for training/evaluation.
+
+    With ``rows``, episode i is ``X[rows[i]]``: a selection (``take``) that
+    shares the X it selects from instead of copying it."""
 
     X: np.ndarray
     y: np.ndarray
     episode_ids: tuple[str, ...]
+    rows: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return int(self.X.shape[0])
+        return int(self.y.shape[0])
+
+    def batch(self, idx) -> np.ndarray:
+        """A copy of the features of the episodes at ``idx``."""
+        return self.X[idx if self.rows is None else self.rows[idx]]
+
+    def take(self, idx) -> "ArrayData":
+        """The episodes at ``idx``, sharing this X."""
+        idx = np.asarray(idx, dtype=np.intp)
+        ids = tuple(self.episode_ids[i] for i in idx.tolist())
+        rows = idx if self.rows is None else self.rows[idx]
+        return ArrayData(X=self.X, y=self.y[idx], episode_ids=ids, rows=rows)
 
     def subset(self, idx) -> "ArrayData":
-        ids = tuple(self.episode_ids[int(i)] for i in np.asarray(idx))
-        return ArrayData(X=self.X[idx], y=self.y[idx], episode_ids=ids)
+        """A copy of the episodes at ``idx``."""
+        part = self.take(idx)
+        return ArrayData(X=self.X[part.rows], y=part.y, episode_ids=part.episode_ids)
 
 
 # Episodes featurized per pass: the working arrays of bin_series and the
@@ -229,7 +241,7 @@ def prepare(batch: BinnedBatch, task: str) -> ArrayData:
 def predict_scores(spec: ModelSpec, params: dict, data: ArrayData) -> np.ndarray:
     """Positive-class probability (classification) or day-scale prediction
     (regression), one value per episode."""
-    out = predict(spec, params, data.X)
+    out = predict(spec, params, data.X, data.rows)
     return out[:, 1] if spec.task == "classification" else out
 
 
@@ -299,7 +311,7 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
             total = 0.0
             for start in range(0, train_data.n, hyper.batch_size):
                 idx = perm[start : start + hyper.batch_size]
-                xb = train_data.X[idx]
+                xb = train_data.batch(idx)
                 yb = train_data.y[idx]
                 out, trace = forward(spec, params, xb)
                 batch_loss = loss(spec, out, yb, trace)
@@ -308,6 +320,7 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
                 grads = backward(spec, params, trace, yb)
                 params, state = opt_step(params, grads, state)
                 total += batch_loss * len(idx)
+                del out, trace, grads, xb  # freed before the next forward, not after it
             train_loss = total / train_data.n
             val = _val_metric(spec, params, val_data)
             best.history.append({"epoch": epoch, "train_loss": float(train_loss), "val_metric": float(val)})
@@ -331,15 +344,6 @@ def aggregate_stats(values) -> dict:
         "stderr": std / float(np.sqrt(arr.size)),
         "n": int(arr.size),
     }
-
-
-def _max_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 def _in_id_order(batch: BinnedBatch, task: str) -> tuple[list[IrregularSeries], ArrayData]:
@@ -374,13 +378,11 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
 
     def run_job(job: tuple[int, int]) -> dict:
         f, r = job
-        train_idx = np.nonzero(fold_of != f)[0]
-        val_idx = np.nonzero(fold_of == f)[0]
         row: dict = {"fold": f, "run": r, "seed": [base_seed, f, r]}
         try:
             result = train_one(
-                spec, pool_data.subset(train_idx), pool_data.subset(val_idx), hyper,
-                [base_seed, f, r],
+                spec, pool_data.take(np.nonzero(fold_of != f)[0]),
+                pool_data.take(np.nonzero(fold_of == f)[0]), hyper, [base_seed, f, r],
             )
             row["status"] = "ok"
             row["val_metric"] = result.best_val
@@ -391,12 +393,7 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
             row["error"] = str(exc)
         return row
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            rows = list(pool_exec.map(run_job, jobs))
-    else:
-        rows = [run_job(job) for job in jobs]
+    rows = fan_out(run_job, jobs)
 
     selected_params: dict[int, dict] = {}
     for f in range(k):

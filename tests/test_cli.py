@@ -346,11 +346,22 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
     ("gen", {"n_episodes": True}, ["n_episodes must be an integer >= 1, got True"], 1),
     ("gen", {"synth": dict(SYNTH, n_channels=True)},
      ["synth: n_channels must be an integer >= 1, got True"], 1),
+    ("train", {"features": {"window": 12.0, "bin_width": True}},
+     ["features.bin_width must be a finite number > 0, got True"], 1),
+    ("gen", {"synth": dict(SYNTH, rate_per_hour=True)},
+     ["synth: rate_per_hour must be a finite number > 0, got True"], 1),
+    ("train", {"data": {"synth": dict(SYNTH, window_hours=True), "n_episodes": 28}},
+     ["data.synth: window_hours must be a finite number > 0, got True"], 1),
+    ("train", {"model": dict(CAT_TE_LSTM, te_max_time=True)},
+     ["model: max_time must be a finite number > 0, got True"], 1),
+    ("train", {"train": {"weight_decay": False}},
+     ["train: weight_decay must be a finite number >= 0, got False"], 1),
 ], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
         "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers",
         "hidden-float", "hidden-bool", "head-width-float", "attention-r-float", "penalty-c-nan",
         "synth-channels-float", "synth-channels-bool", "synth-seed-float", "n-episodes-bool",
-        "runs-per-fold-bool", "train-seed-negative", "gen-n-episodes-bool", "gen-synth-channels-bool"])
+        "runs-per-fold-bool", "train-seed-negative", "gen-n-episodes-bool", "gen-synth-channels-bool",
+        "bin-width-bool", "gen-rate-bool", "synth-window-bool", "te-max-time-bool", "weight-decay-bool"])
 def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
     if command == "train":
         config = dict(TRAIN_CONFIG, out=str(tmp_path / "o"), **config)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -410,18 +411,59 @@ class TestPredict:
         for got in results:
             assert same_bits(got, want)
 
-    def test_other_threads_run_their_blocks_themselves(self, monkeypatch):
+    def test_calls_inside_a_fan_out_run_their_blocks_themselves(self, monkeypatch):
         pools, pool_class = [], models.ThreadPoolExecutor
         monkeypatch.setattr(models, "ThreadPoolExecutor", lambda n: pools.append(n) or pool_class(n))
         monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
         spec, params = predict_fixture("lstm", "add_te", "classification")
         x = with_grid_te(spec, np.random.default_rng(9).normal(size=(300, 6, 5)))
-        results = []
+        want = forward(spec, params, x)[0]
+        # two jobs on two threads, each scoring three blocks on its own thread
+        results = models.fan_out(lambda _: predict(spec, params, x), [0, 1])
+        assert pools == [1]
+        assert all(same_bits(got, want) for got in results)
+        # any other thread is not inside a fan-out and deals its blocks out
         caller = threading.Thread(target=lambda: results.append(predict(spec, params, x)))
         caller.start()
         caller.join(timeout=60)
-        assert not caller.is_alive() and pools == []
-        assert same_bits(results[0], forward(spec, params, x)[0])
+        assert not caller.is_alive() and pools == [1, 2]
+        assert same_bits(results[2], want)
+
+    def test_fan_out_keeps_item_order_and_marks_only_its_groups(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        seen = []
+
+        def job(i):
+            seen.append((i, threading.get_ident(), models._IN_FAN_OUT.get()))
+            return i * i
+
+        assert models.fan_out(job, list(range(7))) == [i * i for i in range(7)]
+        assert all(inside for _, _, inside in seen)
+        assert not models._IN_FAN_OUT.get()
+        # contiguous groups: [0, 1], [2, 3], [4, 5, 6], the first on the caller
+        threads = {i: ident for i, ident, _ in seen}
+        assert threads[0] == threads[1] == threading.get_ident()
+        assert threads[2] == threads[3] != threads[0]
+        assert threads[4] == threads[5] == threads[6] != threads[0]
+        assert models.fan_out(job, []) == []
+
+    def test_a_failing_item_stops_the_other_groups(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        started, ran = threading.Event(), []
+
+        def job(i):
+            ran.append(i)
+            if i == 0:
+                started.wait(10)
+                raise KeyError("item 0")
+            started.set()
+            time.sleep(0.1)
+
+        # groups [0, 1, 2] on the caller and [3, 4, 5] on the pool: item 0
+        # fails while item 3 runs, so neither group starts another item
+        with pytest.raises(KeyError, match="item 0"):
+            models.fan_out(job, list(range(6)))
+        assert sorted(ran) == [0, 3]
 
     def test_import_starts_no_thread(self):
         code = "import threading, tembed.cli; print(threading.active_count())"

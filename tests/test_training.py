@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import threading
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tembed import models
+from tembed import models, training
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import ModelSpec, init_params, model_input_width
@@ -16,7 +18,6 @@ from tembed.training import (
     ArrayData,
     DivergenceError,
     Hyper,
-    WORKERS_ENV,
     aggregate_stats,
     build_features,
     evaluate,
@@ -420,24 +421,110 @@ class TestRunCV:
         other, _ = run_cv(LOGREG, pool, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=12)
         assert report_to_json(other) != report_to_json(report)
 
-    def test_parallel_matches_serial(self, cv, pool_and_test, monkeypatch):
+    def test_parallel_matches_serial(self, pool_and_test, monkeypatch):
+        pool, test = pool_and_test
+        # 10 jobs, and 3 jobs, fewer than some CPU counts
+        for k, runs in ((5, 2), (3, 1)):
+            results = []
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
+                results.append(run_cv(LOGREG, pool, test, CV_HYPER, k=k, runs_per_fold=runs,
+                                      base_seed=11))
+            (report, selected), others = results[0], results[1:]
+            assert len(selected) == k
+            for other_report, other_selected in others:
+                assert report_to_json(other_report) == report_to_json(report)
+                assert sorted(other_selected) == sorted(selected)
+                for f, params in selected.items():
+                    assert set(other_selected[f]) == set(params)
+                    for name, arr in params.items():
+                        assert np.array_equal(other_selected[f][name].view(np.uint64),
+                                              arr.view(np.uint64)), (k, runs, f, name)
+
+    def test_diverging_runs_are_recorded_not_raised(self, pool_and_test, monkeypatch):
+        pool, test = pool_and_test
+        # the jobs on pool threads must see the caller's error state too
+        for cpus in (1, 2):
+            monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
+            with np.errstate(all="ignore"):
+                report, selected = run_cv(
+                    LOGREG, pool, test, Hyper(lr=1e12, epochs=25, batch_size=8),
+                    k=5, runs_per_fold=1, base_seed=0,
+                )
+            assert report["failed_runs"] == 5
+            assert selected == {}
+            assert report["aggregate"] == {}
+            assert all(r["status"] == "failed" and r["val_metric"] is None for r in report["rows"])
+
+    def test_first_failing_job_in_order_raises(self, pool_and_test, monkeypatch):
+        pool, test = pool_and_test
+        real_train_one = training.train_one
+
+        def failing_train_one(spec, train_data, val_data, hyper, seed):
+            if tuple(seed[1:]) in ((1, 0), (2, 1)):
+                raise RuntimeError(f"job {seed[1]},{seed[2]}")
+            return real_train_one(spec, train_data, val_data, hyper, seed)
+
+        monkeypatch.setattr(training, "train_one", failing_train_one)
+        # jobs (1, 0) and (2, 1) fall in one group, the caller's group and a
+        # pool group, or two pool groups
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
+            with pytest.raises(RuntimeError, match=r"^job 1,0$"):
+                run_cv(LOGREG, pool, test, CV_HYPER, k=3, runs_per_fold=2, base_seed=11)
+
+    def test_validation_inside_a_job_starts_no_thread(self, monkeypatch):
+        series, _ = gen_dataset(CFG, 300)
+        pool = build_features(series, SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
+        test = build_features(series[:20], SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
+        blocks, threads = [], []
+        real_forward = models._forward
+
+        def counting_forward(spec, params, x, trace):
+            if trace is None:
+                blocks.append(len(x))
+                threads.append(threading.active_count())
+            return real_forward(spec, params, x, trace)
+
+        monkeypatch.setattr(models, "_forward", counting_forward)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        run_cv(LOGREG, pool, test, Hyper(epochs=1, batch_size=50), k=2, runs_per_fold=2)
+        assert 128 in blocks  # each validation of 150 rows scores two blocks
+        # the caller and one pool thread run the jobs; neither starts another
+        assert max(threads) == before + 1
+
+    def test_each_step_frees_its_trace_before_the_next_forward(self, pool_and_test, monkeypatch):
+        pool, _ = pool_and_test
+        spec = ModelSpec(family="lstm", task="classification", hidden=4)
+        data = prepare(build_features(pool.series, SCHEMA, WINDOW, BIN_WIDTH, spec), "classification")
+        tr, va = two_class_split(data)
+        previous, calls = [], []
+        real_forward = training.forward
+
+        def watching_forward(spec, params, features):
+            calls.append(all(ref() is None for ref in previous))
+            out, trace = real_forward(spec, params, features)
+            previous.append(weakref.ref(trace))
+            return out, trace
+
+        monkeypatch.setattr(training, "forward", watching_forward)
+        train_one(spec, data.take(tr), data.take(va), Hyper(epochs=2, batch_size=4), seed=0)
+        assert len(calls) == 2 * -(-len(tr) // 4)
+        assert all(calls), f"a trace outlived its step at forward call {calls.index(False)}"
+
+    def test_no_job_copies_fold_rows(self, cv, pool_and_test, monkeypatch):
         report, _ = cv
         pool, test = pool_and_test
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        parallel, _ = run_cv(LOGREG, pool, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=11)
-        assert report_to_json(parallel) == report_to_json(report)
-
-    def test_diverging_runs_are_recorded_not_raised(self, pool_and_test):
-        pool, test = pool_and_test
-        with np.errstate(all="ignore"):
-            report, selected = run_cv(
-                LOGREG, pool, test, Hyper(lr=1e12, epochs=25, batch_size=8),
-                k=5, runs_per_fold=1, base_seed=0,
-            )
-        assert report["failed_runs"] == 5
-        assert selected == {}
-        assert report["aggregate"] == {}
-        assert all(r["status"] == "failed" and r["val_metric"] is None for r in report["rows"])
+        ids = [s.episode_id for s in pool.series]
+        assert ids == sorted(ids)  # so putting the pool in id order copies nothing either
+        copies = []
+        real_subset = ArrayData.subset
+        monkeypatch.setattr(ArrayData, "subset",
+                            lambda self, idx: copies.append(len(idx)) or real_subset(self, idx))
+        again, _ = run_cv(LOGREG, pool, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=11)
+        assert copies == []
+        assert report_to_json(again) == report_to_json(report)
 
     def test_summary_lines(self, cv):
         report, _ = cv
@@ -513,17 +600,3 @@ class TestSweep:
             assert float(value) == row["value"]
             assert float(std) == row["std"]
 
-
-class TestWorkersEnv:
-    def test_invalid_value_rejected(self, monkeypatch):
-        from tembed.training import _max_workers
-
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            _max_workers()
-
-    def test_default_is_serial(self, monkeypatch):
-        from tembed.training import _max_workers
-
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert _max_workers() == 1
