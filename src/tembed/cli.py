@@ -354,6 +354,9 @@ def cmd_sweep(args) -> int:
     with open(exp_path) as fh:
         experiment = json.load(fh)
     seed = args.seed if args.seed is not None else config.get("seed", experiment["seed"])
+    out_dir = args.out or config.get("out") or run_dir
+    out_path = os.path.join(out_dir, SWEEP_CSV)
+    _refuse_existing(out_path, args.force)
 
     spec = ModelSpec.from_dict(experiment["spec"])
     loaded = _load_dataset(experiment["data"], problems)
@@ -377,9 +380,6 @@ def cmd_sweep(args) -> int:
     rows = sweep_dropout(spec, selected_params, test, schema,
                          experiment["window"], experiment["bin_width"],
                          fractions=fractions, base_seed=seed)
-    out_dir = args.out or config.get("out") or run_dir
-    out_path = os.path.join(out_dir, SWEEP_CSV)
-    _refuse_existing(out_path, args.force)
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(out_path, sweep_to_csv(rows))
     print(f"wrote {len(rows)} rows to {out_path}")
@@ -420,9 +420,14 @@ def cmd_encode(args) -> int:
         if not line.strip():
             continue
         try:
-            times.append(float(line))
+            t = float(line)
         except ValueError:
             raise CliError(f"line {line_no}: timestamp {line!r} is not a number") from None
+        if not np.isfinite(t):
+            raise CliError(f"line {line_no}: timestamp {line!r} is not finite")
+        if t < 0:
+            raise CliError(f"line {line_no}: timestamp {line!r} is negative")
+        times.append(t)
     mat = te_batch(np.asarray(times), cfg)
     out_lines = [",".join([header] + [f"te_{i}" for i in range(cfg.dim)])]
     for t, row in zip(times, mat):

@@ -575,28 +575,34 @@ def fan_out(fn, items: list) -> list:
     return results
 
 
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) row ranges ``predict`` scores ``n`` rows in: blocks
+    of ``_BLOCK`` rows, a lone last row joined to the block before it. A
+    block of these bounds is one block again, so scoring it alone rounds as
+    scoring it within all ``n`` rows does."""
+    # numpy computes a one-row product with BLAS gemv, which can round
+    # differently from the gemm of a longer block
+    bounds = list(range(0, max(n - 1, 1), _BLOCK)) + [n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def predict(spec: ModelSpec, params: dict, features, rows=None) -> np.ndarray:
     """``forward``'s output without the trace, on every CPU the process may use.
 
     With ``rows``, the output for ``features[rows]``, gathered block by block
-    instead of copied whole. The rows are cut into blocks of ``_BLOCK``,
-    which ``fan_out`` deals out to the CPUs. No block keeps the LSTM gate and
+    instead of copied whole. The rows are cut into ``row_blocks``, which
+    ``fan_out`` deals out to the CPUs. No block keeps the LSTM gate and
     cell buffers of every step, and each block checks its own inputs. The
     results are joined in row order; when blocks fail, the first one in row
     order raises.
     """
     x, single = _as_batch(features)
-    n = len(x) if rows is None else len(rows)
-    # numpy computes a one-row product with BLAS gemv, which can round
-    # differently from the gemm of a longer block, so a lone last row joins
-    # the block before it
-    bounds = list(range(0, max(n - 1, 1), _BLOCK)) + [n]
 
     def run(block: tuple[int, int]) -> np.ndarray:
         a, b = block
         return _forward(spec, params, x[a:b] if rows is None else x[rows[a:b]], None)
 
-    out = np.concatenate(fan_out(run, list(zip(bounds[:-1], bounds[1:]))))
+    out = np.concatenate(fan_out(run, row_blocks(len(x) if rows is None else len(rows))))
     return out[0] if single else out
 
 

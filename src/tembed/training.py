@@ -28,6 +28,12 @@ example with ``taskset -c 0``) to train serially. Scoring
 same way when called outside a job and runs on the job's own thread inside
 one, so the CPUs are not oversubscribed. A job reads its fold's episodes
 from the pool's X through row indices instead of copying them.
+
+``sweep_dropout`` fans out the same way over (row block, fraction) items:
+each thins, featurizes and scores one of ``predict``'s row blocks on the
+thread that runs it, so no fraction's feature tensor exists whole, and the
+scores are joined in row order before the metrics, which ``evaluate``
+computes with the same helper.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .models import (
     loss,
     model_input_width,
     predict,
+    row_blocks,
     zeros_like_params,
 )
 
@@ -220,12 +227,12 @@ def build_features(series_list, schema: Schema, window: float, bin_width: float,
     return BinnedBatch(series=series_list, X=X, M=None, D=None, window=float(window))
 
 
-def prepare(batch: BinnedBatch, task: str) -> ArrayData:
-    """Arrays of a featurized batch; regression labels are converted to days here."""
-    if not batch.series:
+def _labels(series_list, task: str) -> np.ndarray:
+    """The checked labels of the series; regression labels in days."""
+    if not series_list:
         raise ValueError("no episodes to prepare")
     labels = []
-    for s in batch.series:
+    for s in series_list:
         if s.label is None:
             raise ValueError(f"episode {s.episode_id!r} has no label")
         labels.append(float(s.label))
@@ -233,9 +240,14 @@ def prepare(batch: BinnedBatch, task: str) -> ArrayData:
     if task == "classification":
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("classification labels must be 0 or 1")
-    else:
-        y = label_convert(y, "to_days")
-    return ArrayData(X=batch.X, y=y, episode_ids=tuple(s.episode_id for s in batch.series))
+        return y
+    return label_convert(y, "to_days")
+
+
+def prepare(batch: BinnedBatch, task: str) -> ArrayData:
+    """Arrays of a featurized batch; regression labels are converted to days here."""
+    return ArrayData(X=batch.X, y=_labels(batch.series, task),
+                     episode_ids=tuple(s.episode_id for s in batch.series))
 
 
 def predict_scores(spec: ModelSpec, params: dict, data: ArrayData) -> np.ndarray:
@@ -247,13 +259,16 @@ def predict_scores(spec: ModelSpec, params: dict, data: ArrayData) -> np.ndarray
 
 def evaluate(spec: ModelSpec, params: dict, data: ArrayData) -> dict[str, float]:
     """Test metrics; regression errors are converted back to hours."""
-    scores = predict_scores(spec, params, data)
-    if spec.task == "classification":
+    return _test_metrics(spec.task, data.y, predict_scores(spec, params, data))
+
+
+def _test_metrics(task: str, y: np.ndarray, scores: np.ndarray) -> dict[str, float]:
+    if task == "classification":
         return {
-            "auc_roc": auc_roc(data.y, scores),
-            "ap": average_precision(data.y, scores),
+            "auc_roc": auc_roc(y, scores),
+            "ap": average_precision(y, scores),
         }
-    y_hours = label_convert(data.y, "to_hours")
+    y_hours = label_convert(y, "to_hours")
     pred_hours = label_convert(scores, "to_hours")
     return {
         "mae_hours": mae(y_hours, pred_hours),
@@ -293,7 +308,8 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
     Keeps the parameters of the epoch with the best validation metric.
     With zero epochs the initial parameters come back untouched (their
     validation metric is still measured, so selection stays well defined).
-    A non-finite loss, gradient, or activation raises DivergenceError.
+    A non-finite loss, gradient, or activation raises DivergenceError, whose
+    message names the epoch and the batch (or the validation pass).
     """
     entropy = seed_entropy(seed)
     steps, width = train_data.X.shape[1], train_data.X.shape[2]
@@ -306,22 +322,23 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
     try:
         best.best_val = _val_metric(spec, params, val_data)
         for epoch in range(hyper.epochs):
-            where = f"at epoch {epoch}"
             perm = rng.permutation(train_data.n)
             total = 0.0
-            for start in range(0, train_data.n, hyper.batch_size):
+            for b, start in enumerate(range(0, train_data.n, hyper.batch_size)):
+                where = f"at epoch {epoch}, batch {b}"
                 idx = perm[start : start + hyper.batch_size]
                 xb = train_data.batch(idx)
                 yb = train_data.y[idx]
                 out, trace = forward(spec, params, xb)
                 batch_loss = loss(spec, out, yb, trace)
                 if not np.isfinite(batch_loss):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                    raise DivergenceError("non-finite loss")
                 grads = backward(spec, params, trace, yb)
                 params, state = opt_step(params, grads, state)
                 total += batch_loss * len(idx)
                 del out, trace, grads, xb  # freed before the next forward, not after it
             train_loss = total / train_data.n
+            where = f"at epoch {epoch}, in validation"
             val = _val_metric(spec, params, val_data)
             best.history.append({"epoch": epoch, "train_loss": float(train_loss), "val_metric": float(val)})
             if _is_better(spec.task, val, best.best_val):
@@ -329,6 +346,8 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
                 best.params = clone_params(params)
     except NumericError as exc:
         raise DivergenceError(f"numeric overflow {where}: {exc}") from exc
+    except DivergenceError as exc:  # the loss check above or opt_step's gradient check
+        raise DivergenceError(f"{exc} {where}") from exc
     return best
 
 
@@ -465,24 +484,40 @@ def sweep_dropout(spec: ModelSpec, selected_params: dict[int, dict],
     exactly as in training, and each row reports the mean and population
     std over the selected models: {model, fraction, metric, value, std}.
     The fraction-1.0 row evaluates the untouched test set.
+
+    Each (row block, fraction) pair is one ``fan_out`` item that thins,
+    featurizes and scores its block on the thread that runs it, so no
+    fraction's features exist whole. The blocks are ``predict``'s
+    (``row_blocks``), so every score rounds as ``evaluate`` on the whole
+    fraction would give it.
     """
     if not selected_params:
         raise ValueError("no selected models to sweep")
+    fractions = tuple(fractions)
+    y = _labels(test_series, spec.task)
+    folds = sorted(selected_params)
+    # block-major, so that each CPU's contiguous group holds every fraction
+    items = [(a, b, fi) for a, b in row_blocks(len(test_series)) for fi in range(len(fractions))]
+
+    def score(item: tuple[int, int, int]) -> list[np.ndarray]:
+        a, b, fi = item
+        block = test_series[a:b]
+        if fractions[fi] != 1.0:
+            block = [drop_observations(s, fractions[fi], [base_seed, fi, ei])
+                     for ei, s in enumerate(block, start=a)]
+        data = ArrayData(X=build_features(block, schema, window, bin_width, spec).X,
+                         y=y[a:b], episode_ids=tuple(s.episode_id for s in block))
+        return [predict_scores(spec, selected_params[f], data) for f in folds]
+
+    scored = fan_out(score, items)
     rows = []
     for fi, fraction in enumerate(fractions):
-        if fraction == 1.0:
-            thinned = test_series
-        else:
-            thinned = [
-                drop_observations(s, fraction, [base_seed, fi, ei])
-                for ei, s in enumerate(test_series)
-            ]
-        data = prepare(build_features(thinned, schema, window, bin_width, spec), spec.task)
+        blocks = scored[fi :: len(fractions)]  # this fraction's blocks in row order
         per_metric: dict[str, list[float]] = {}
-        for f in sorted(selected_params):
-            for name, value in evaluate(spec, selected_params[f], data).items():
+        for m in range(len(folds)):
+            scores = np.concatenate([block[m] for block in blocks])
+            for name, value in _test_metrics(spec.task, y, scores).items():
                 per_metric.setdefault(name, []).append(value)
-        del thinned, data  # the next fraction's features need not sit next to these
         for name, values in sorted(per_metric.items()):
             arr = np.asarray(values)
             rows.append({

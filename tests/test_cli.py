@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from tembed import cli
 from tembed.cli import main
 from tembed.dataset import load_csv, load_schema
 from tembed.encoding import EncoderConfig, te_batch
@@ -259,6 +260,23 @@ class TestSweep:
         )
         assert code == 0
 
+    def test_refused_sweep_loads_nothing(self, run_dir, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "done")
+        os.makedirs(out)
+        with open(os.path.join(out, "sweep.csv"), "w") as fh:
+            fh.write("kept\n")
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *a: loads.append("data"))
+        monkeypatch.setattr(cli, "load_params", lambda *a: loads.append("params"))
+        code, _, stderr = run(
+            ["sweep", "--run-dir", run_dir, "--keep-fractions", "1.0", "--out", out], capsys
+        )
+        assert code == 1
+        assert "sweep.csv already exists; pass --force to overwrite" in stderr
+        assert loads == []
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            assert fh.read() == "kept\n"
+
     def test_requires_training_run(self, tmp_path, capsys):
         code, _, stderr = run(["sweep", "--run-dir", str(tmp_path)], capsys)
         assert code == 1
@@ -455,6 +473,17 @@ class TestEncode:
         )
         assert code == 1
         assert "line 3" in stderr and "'soon'" in stderr
+
+    @pytest.mark.parametrize("raw,problem", [
+        ("nan", "is not finite"), ("-inf", "is not finite"), ("-0.5", "is negative"),
+    ])
+    def test_names_non_finite_or_negative_timestamp_line(self, tmp_path, capsys, raw, problem):
+        inp = self.write_times(tmp_path, ["1.0", "", raw, "2.0"])
+        out = str(tmp_path / "o.csv")
+        code, _, stderr = run(["encode", "--input", inp, "--out", out, "--max-time", "48"], capsys)
+        assert code == 1
+        assert stderr == f"error: line 4: timestamp {raw!r} {problem}\n"
+        assert not os.path.exists(out)
 
     def test_empty_input(self, tmp_path, capsys):
         path = str(tmp_path / "empty.csv")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from tembed import models, training
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
+from tembed.dataset import drop_observations
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import ModelSpec, init_params, model_input_width
 from tembed.training import (
@@ -283,6 +285,37 @@ class TestTrainOne:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
             train_one(LOGREG, train, val, Hyper(lr=1e12, epochs=25, batch_size=7), seed=0)
 
+    @pytest.mark.parametrize("fault,message", [
+        ("loss", "non-finite loss at epoch 1, batch 1"),
+        ("gradient", "non-finite gradient for 'out.b' at epoch 1, batch 1"),
+        ("activation", "numeric overflow at epoch 1, batch 1: "
+                       "non-finite activation in layer 'output'"),
+    ])
+    def test_divergence_names_epoch_and_batch(self, pool_and_test, monkeypatch, fault, message):
+        pool, _ = pool_and_test
+        data = prepare(pool, "classification")
+        tr, va = two_class_split(data)  # 14 training episodes: batches 0-3 of each epoch
+        calls = []
+
+        def sixth_call_fails(real):
+            def wrapped(*args):
+                calls.append(fault)
+                out = real(*args)
+                if len(calls) < 6:
+                    return out
+                if fault == "loss":
+                    return math.nan
+                if fault == "gradient":
+                    return dict(out, **{"out.b": np.full_like(out["out.b"], np.nan)})
+                raise models.NumericError("non-finite activation in layer 'output'")
+            return wrapped
+
+        name = {"loss": "loss", "gradient": "backward", "activation": "forward"}[fault]
+        monkeypatch.setattr(training, name, sixth_call_fails(getattr(training, name)))
+        with pytest.raises(DivergenceError) as info:
+            train_one(LOGREG, data.subset(tr), data.subset(va), Hyper(epochs=3, batch_size=4), 0)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("seed", [0, 1, 4])
     def test_overflow_before_the_first_epoch_diverges(self, pool_and_test, seed):
         # the initial validation metric overflows: a DivergenceError, which
@@ -337,7 +370,8 @@ class TestEvaluate:
                 train_one(LOGREG, data.subset(tr), val, hyper, seed=0)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert messages[0] == "numeric overflow at epoch 0: non-finite activation in layer 'output'"
+        assert messages[0] == ("numeric overflow at epoch 0, in validation: "
+                               "non-finite activation in layer 'output'")
 
     def test_val_metric_names(self):
         assert val_metric_name("classification") == "auc_roc"
@@ -600,3 +634,99 @@ class TestSweep:
             assert float(value) == row["value"]
             assert float(std) == row["std"]
 
+
+def whole_fraction_sweep(spec, selected_params, test_series, schema, window, bin_width,
+                         fractions, base_seed):
+    """The reference sweep: each fraction thinned, featurized into one X and
+    evaluated whole, one fraction after the other."""
+    rows = []
+    for fi, fraction in enumerate(fractions):
+        thinned = test_series if fraction == 1.0 else [
+            drop_observations(s, fraction, [base_seed, fi, ei]) for ei, s in enumerate(test_series)
+        ]
+        data = prepare(build_features(thinned, schema, window, bin_width, spec), spec.task)
+        per_metric = {}
+        for f in sorted(selected_params):
+            for name, value in evaluate(spec, selected_params[f], data).items():
+                per_metric.setdefault(name, []).append(value)
+        for name, values in sorted(per_metric.items()):
+            arr = np.asarray(values)
+            rows.append({"model": models.alias(spec), "fraction": float(fraction), "metric": name,
+                         "value": float(arr.mean()), "std": float(arr.std())})
+    return rows
+
+
+SWEEP_WINDOW = 24.0
+SWEEP_SYNTH = dict(n_channels=6, rate_per_hour=0.6, window_hours=SWEEP_WINDOW,
+                   gap_threshold_hours=4.0, rng_seed=21)
+SWEEP_SPECS = {  # 24 steps x 18 inputs in mask mode (6 channels)
+    "sa_lstm-mask-regression": ModelSpec(
+        family="sa_lstm", task="regression", hidden=8, te_mode="mask",
+        attention=models.AttentionSpec(d_a=8, r=2)),
+    "lstm-cat_te": ModelSpec(family="lstm", task="classification", hidden=8, te_mode="cat_te",
+                             te_cfg=EncoderConfig.temporal(4, SWEEP_WINDOW)),
+    "lstm-add_te": ModelSpec(family="lstm", task="classification", hidden=8, te_mode="add_te",
+                             te_cfg=EncoderConfig.temporal(8, SWEEP_WINDOW)),
+    # regression, so that the metrics see the last bit of every score: this
+    # MLP's products round differently in blocks of 200 rows or more
+    "mlp-mask-regression": ModelSpec(family="mlp", task="regression", te_mode="mask",
+                                     mlp_widths=(16, 16)),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_corpora():
+    corpora = {}
+    for task in ("timing_classification", "elapsed_regression"):
+        cfg = SynthConfig(task=task, **SWEEP_SYNTH)
+        corpora[task] = (gen_dataset(cfg, 300)[0], synth_schema(cfg))
+    return corpora
+
+
+class TestStreamedSweep:
+    """sweep_dropout thins, featurizes and scores predict's row blocks one by
+    one; its rows must equal the whole-fraction reference bit for bit, and
+    the models must see the reference's row blocks, whose bounds can change
+    BLAS rounding in a way rank metrics do not show."""
+
+    @pytest.mark.parametrize("n", [129, 257, 300])
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+    def test_equals_whole_fraction_sweep(self, sweep_corpora, monkeypatch, name, n):
+        spec = SWEEP_SPECS[name]
+        series, schema = sweep_corpora[
+            "elapsed_regression" if spec.task == "regression" else "timing_classification"]
+        test_series = series[:n]
+        X = build_features(test_series[:1], schema, SWEEP_WINDOW, 1.0, spec).X
+        width = model_input_width(spec, X.shape[1], X.shape[2])
+        selected = {f: init_params(spec, width, [5, f]) for f in (0, 2)}
+        args = (spec, selected, test_series, schema, SWEEP_WINDOW, 1.0)
+        fractions = (1.0, 0.6, 0.3)
+        blocks = []
+        real_forward = models._forward
+        monkeypatch.setattr(models, "_forward", lambda *a: blocks.append(len(a[2])) or real_forward(*a))
+        want = whole_fraction_sweep(*args, fractions, 4)
+        assert len(want) == len(fractions) * (3 if spec.task == "regression" else 2)
+        want_blocks = sorted(blocks)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(models, "_usable_cpus", lambda c=cpus: c)
+            blocks.clear()
+            assert sweep_dropout(*args, fractions=fractions, base_seed=4) == want, cpus
+            assert sorted(blocks) == want_blocks, cpus
+
+    def test_peak_memory_below_one_fraction_of_features(self, monkeypatch):
+        cfg = SynthConfig(n_channels=18, rate_per_hour=0.5, window_hours=48.0,
+                          task="elapsed_regression", rng_seed=3)
+        test_series, _ = gen_dataset(cfg, 1000)
+        schema = synth_schema(cfg)
+        spec = ModelSpec(family="linreg", task="regression", te_mode="mask")
+        params = init_params(spec, model_input_width(spec, 48, 54), 0)
+        one_fraction_x = 1000 * 48 * 54 * 8  # bytes of one fraction's X
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            sweep_dropout(spec, {0: params}, test_series, schema, 48.0, 1.0, fractions=(1.0, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each thread's 128-episode block peaks at about 9 MiB inside bin_series
+        assert peak < one_fraction_x, (peak, one_fraction_x)
