@@ -1,0 +1,8 @@
+"""``python -m tembed``: the ``tembed`` command line of :mod:`tembed.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import locale
 import math
@@ -72,6 +73,15 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_npz(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Atomically write named arrays plus a ``__meta__`` JSON string as one
+    uncompressed npz container; numpy fixes its zip timestamps, so equal
+    inputs give equal bytes."""
+    buf = io.BytesIO()
+    np.savez(buf, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def atomic_write_text(path: str, text: str) -> None:

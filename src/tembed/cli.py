@@ -7,9 +7,11 @@ Subcommands:
 * ``gen``    write a synthetic dataset (data.csv, labels.csv, schema.json,
              manifest.json) from a SynthConfig;
 * ``train``  run the cross-validated protocol on a dataset and write the
-             report, summary CSV, and selected model parameters;
+             report, summary CSV, selected model parameters and the
+             normalized test episodes;
 * ``sweep``  re-evaluate a finished training run under observation
-             dropout and write the fraction-by-metric CSV;
+             dropout and write the fraction-by-metric CSV; it reads only
+             the run directory, never the training data;
 * ``encode`` append time-embedding columns to a CSV of timestamps.
 
 Every command validates its whole config up front and reports all
@@ -31,12 +33,13 @@ import numpy as np
 from ._util import atomic_write_text, check_int, check_real, float_repr, write_json_document
 from .benchgen import SynthConfig, gen_dataset, synth_schema
 from .dataset import (
-    NormStats,
     Schema,
     apply_norm,
     fit_norm,
     load_csv,
+    load_episodes,
     load_schema,
+    save_episodes,
     save_schema,
     train_test_split,
     write_csv,
@@ -61,6 +64,7 @@ MANIFEST_FILE = "manifest.json"
 REPORT_JSON = "report.json"
 REPORT_CSV = "report.csv"
 EXPERIMENT_FILE = "experiment.json"
+TEST_EPISODES_FILE = "test_episodes.npz"
 SWEEP_CSV = "sweep.csv"
 
 
@@ -298,6 +302,7 @@ def cmd_train(args) -> int:
     atomic_write_text(os.path.join(out_dir, REPORT_CSV), "\n".join(csv_lines) + "\n")
     for f, params in sorted(selected.items()):
         save_params(os.path.join(out_dir, f"params_fold{f}.npz"), params, spec)
+    save_episodes(os.path.join(out_dir, TEST_EPISODES_FILE), test, schema)
     experiment = {
         "data": config["data"],
         "task": task,
@@ -332,6 +337,21 @@ def _parse_fractions(values, source: str, problems: list[str]) -> list[float] | 
     return sorted(set(fractions), reverse=True)
 
 
+def _load_test_set(run_dir: str, test_ids: list[str]) -> tuple[list, Schema]:
+    """The normalized test episodes and schema that `tembed train` saved in
+    ``run_dir``, checked against the run's test ids."""
+    path = os.path.join(run_dir, TEST_EPISODES_FILE)
+    if not os.path.exists(path):
+        raise CliError(f"no {TEST_EPISODES_FILE} in {run_dir}; re-run `tembed train` to write it")
+    try:
+        test, schema = load_episodes(path)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    if sorted(s.episode_id for s in test) != test_ids:
+        raise CliError(f"{path}: episode ids differ from the test_ids of {EXPERIMENT_FILE}")
+    return test, schema
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args.config) if args.config else {}
     problems: list[str] = []
@@ -359,15 +379,7 @@ def cmd_sweep(args) -> int:
     _refuse_existing(out_path, args.force)
 
     spec = ModelSpec.from_dict(experiment["spec"])
-    loaded = _load_dataset(experiment["data"], problems)
-    _fail_if(problems)
-    episodes, schema = loaded
-    test_ids = set(experiment["test_ids"])
-    test_raw = [s for s in episodes if s.episode_id in test_ids]
-    if len(test_raw) != len(test_ids):
-        raise CliError("dataset no longer contains every test episode of the training run")
-    stats = NormStats.from_dict(experiment["norm_stats"])
-    test = [apply_norm(s, stats, schema) for s in test_raw]
+    test, schema = _load_test_set(run_dir, experiment["test_ids"])
 
     selected_params: dict[int, dict] = {}
     for f in experiment["selected_folds"]:

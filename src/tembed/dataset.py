@@ -15,7 +15,10 @@ Labels: CSV with header ``episode_id,label``. Schema: JSON mapping channel
 names to kinds (``real`` or ``categorical`` with a cardinality). Floats are
 written with ``repr`` so a write/read cycle reproduces the exact bits. Fields
 are written unquoted with ``\n`` line ends; reading also accepts quoted
-fields and CRLF line ends, as ``csv.reader`` does.
+fields and CRLF line ends, as ``csv.reader`` does. Normalized, labeled
+episodes (a training run's test set): an npz container of columns written
+by :func:`save_episodes` and checked column by column by
+:func:`load_episodes`.
 """
 
 from __future__ import annotations
@@ -26,18 +29,25 @@ import itertools
 import json
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, float_repr, make_rng, write_json_document
+from ._util import atomic_write_npz, atomic_write_text, float_repr, make_rng, write_json_document
 from .encoding import EncoderConfig, te_batch
 
 HOURS_PER_DAY = 24.0
 
 DATA_HEADER = ["episode_id", "time_hours", "channel", "value"]
 LABEL_HEADER = ["episode_id", "label"]
+
+EPISODES_FORMAT_VERSION = 1
+# the columns of an episode container and their dtypes (ids: any string length)
+_EPISODE_DTYPES = {name: np.dtype(kind) for name, kind in (
+    ("episode_ids", np.str_), ("labels", np.float64), ("offsets", np.int64),
+    ("times", np.float64), ("channel_idx", np.int64), ("values", np.float64))}
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,8 @@ class ChannelSpec:
     cardinality: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"channel name must be a string, got {self.name!r}")
         if self.kind not in ("real", "categorical"):
             raise ValueError(f"channel kind must be 'real' or 'categorical', got {self.kind!r}")
         if self.kind == "categorical":
@@ -78,8 +90,9 @@ class Schema:
         if not self.channels:
             raise ValueError("schema needs at least one channel")
         names = [c.name for c in self.channels]
-        if len(set(names)) != len(names):
-            raise ValueError("channel names must be unique")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"channel names must be unique: channel {i} repeats {name!r}")
 
     @property
     def n_channels(self) -> int:
@@ -113,11 +126,14 @@ class Schema:
                 raise ValueError(f"schema channel entry {i} must be an object, got {entry!r}")
             unknown = set(entry) - {"name", "kind", "cardinality"}
             if unknown:
-                raise ValueError(f"unknown schema keys {sorted(unknown)} in channel entry {entry!r}")
+                raise ValueError(f"unknown schema keys {sorted(unknown)} in channel entry {i} {entry!r}")
             missing = {"name", "kind"} - set(entry)
             if missing:
                 raise ValueError(f"schema channel entry {i} {entry!r} lacks {sorted(missing)}")
-            specs.append(ChannelSpec(entry["name"], entry["kind"], entry.get("cardinality")))
+            try:
+                specs.append(ChannelSpec(entry["name"], entry["kind"], entry.get("cardinality")))
+            except ValueError as exc:
+                raise ValueError(f"schema channel entry {i}: {exc}") from None
         return cls(channels=tuple(specs))
 
 
@@ -200,13 +216,6 @@ class NormStats:
 
     def to_dict(self) -> dict:
         return {"mean": [float(x) for x in self.mean], "std": [float(x) for x in self.std]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-        )
 
 
 @dataclass
@@ -379,18 +388,21 @@ def load_labels(path: str) -> dict[str, float]:
     labels: dict[str, float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABEL_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(LABEL_HEADER)}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"line {line_no}: expected 2 fields, got {len(row)}")
-            eid, raw = row
-            if eid in labels:
-                raise ValueError(f"line {line_no}: duplicate label for episode {eid!r}")
-            labels[eid] = _parse_float(raw, "label", line_no)
+        try:
+            header = next(reader, None)
+            if header != LABEL_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(LABEL_HEADER)}, got {header}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"line {line_no}: expected 2 fields, got {len(row)}")
+                eid, raw = row
+                if eid in labels:
+                    raise ValueError(f"line {line_no}: duplicate label for episode {eid!r}")
+                labels[eid] = _parse_float(raw, "label", line_no)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return labels
 
 
@@ -471,6 +483,105 @@ def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: st
         atomic_write_text(label_path, "\n".join(label_lines) + "\n")
 
 
+def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema) -> None:
+    """Write labeled, normalized episodes and their schema to one npz
+    container; :func:`load_episodes` reads them back bit for bit.
+
+    The container holds a ``__meta__`` JSON (format version, schema) and the
+    episodes as columns: ``episode_ids``, ``labels``, ``offsets`` (episode i
+    owns observations ``offsets[i]:offsets[i + 1]``), ``times``,
+    ``channel_idx`` and ``values``.
+    """
+    for ep in episodes:
+        if ep.label is None or not ep.normalized:
+            raise ValueError(f"episode {ep.episode_id!r} must be labeled and normalized to be saved")
+    ids = np.array([ep.episode_id for ep in episodes], dtype=str)
+    if ids.tolist() != [ep.episode_id for ep in episodes]:  # numpy drops trailing NULs
+        raise ValueError("episode ids ending in a NUL character cannot be saved")
+    meta = {"format_version": EPISODES_FORMAT_VERSION, "schema": schema.to_dict()}
+    columns = {
+        "episode_ids": ids,
+        "labels": np.array([float(ep.label) for ep in episodes], dtype=np.float64),
+        "offsets": np.cumsum([0] + [ep.n_obs for ep in episodes], dtype=np.int64),
+        "times": np.concatenate([ep.times for ep in episodes] + [np.empty(0)]),
+        "channel_idx": np.concatenate([ep.channel_idx for ep in episodes] + [np.empty(0, np.int64)]),
+        "values": np.concatenate([ep.values for ep in episodes] + [np.empty(0)]),
+    }
+    atomic_write_npz(path, meta, columns)
+
+
+def _read_columns(path: str) -> dict[str, np.ndarray]:
+    """The arrays of an npz container, refusing pickled members."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            names = sorted(zf.namelist())
+            expected = sorted(f"{name}.npy" for name in ("__meta__", *_EPISODE_DTYPES))
+            if names != expected:
+                raise ValueError(f"holds {names}, expected {expected}")
+            columns = {}
+            for name in names:
+                with zf.open(name) as fh:
+                    columns[name[:-4]] = np.lib.format.read_array(fh, allow_pickle=False)
+            return columns
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a readable npz container ({exc})") from None
+
+
+def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
+    """Read what :func:`save_episodes` wrote: the normalized episodes, in the
+    order they were saved, and their schema.
+
+    The container comes from outside the program, so its meta, the dtype and
+    shape of every column, the offsets, and the times (finite, >= 0 and
+    sorted within each episode), channels (inside the schema), values and
+    labels (finite) are checked in whole-column passes before any series is
+    built; a problem raises ``ValueError``.
+    """
+    columns = _read_columns(path)
+    try:
+        meta = json.loads(str(columns.pop("__meta__")[()]))
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError("__meta__ is not a JSON object")
+    if meta.get("format_version") != EPISODES_FORMAT_VERSION:
+        raise ValueError(f"unsupported episode container version {meta.get('format_version')!r}, "
+                         f"expected {EPISODES_FORMAT_VERSION}")
+    schema = Schema.from_dict(meta.get("schema"))
+    for name, kind in _EPISODE_DTYPES.items():
+        arr = columns[name]
+        if arr.ndim != 1 or (arr.dtype.kind != kind.kind if kind.kind == "U" else arr.dtype != kind):
+            raise ValueError(f"{name} must be a 1-d {kind.name} array, got {arr.dtype} of shape {arr.shape}")
+    ids, labels, offsets = columns["episode_ids"], columns["labels"], columns["offsets"]
+    times, chans, values = columns["times"], columns["channel_idx"], columns["values"]
+    n_obs = times.shape[0]
+    if (labels.shape[0] != ids.shape[0] or offsets.shape[0] != ids.shape[0] + 1
+            or chans.shape[0] != n_obs or values.shape[0] != n_obs):
+        raise ValueError(f"column lengths disagree: {ids.shape[0]} episode ids, {labels.shape[0]} "
+                         f"labels, {offsets.shape[0]} offsets, {n_obs} times, {chans.shape[0]} "
+                         f"channels, {values.shape[0]} values")
+    if offsets[0] != 0 or offsets[-1] != n_obs or (np.diff(offsets) < 0).any():
+        raise ValueError(f"offsets must rise from 0 to the {n_obs} observations")
+    episode_of = np.repeat(np.arange(ids.shape[0]), np.diff(offsets))
+    within = episode_of[1:] == episode_of[:-1]
+    for problem, bad in (
+        ("non-finite or negative time", ~np.isfinite(times) | (times < 0)),
+        ("times not sorted", np.concatenate([[False], within & (times[1:] < times[:-1])])),
+        (f"channel index outside the {schema.n_channels}-channel schema",
+         (chans < 0) | (chans >= schema.n_channels)),
+        ("non-finite value", ~np.isfinite(values)),
+    ):
+        if bad.any():
+            raise ValueError(f"episode {str(ids[episode_of[np.argmax(bad)]])!r}: {problem}")
+    if not np.isfinite(labels).all():
+        raise ValueError(f"episode {str(ids[np.argmax(~np.isfinite(labels))])!r}: non-finite label")
+    bounds, labels = offsets.tolist(), labels.tolist()
+    # the checks above established everything IrregularSeries checks
+    series = [IrregularSeries._checked(eid, times[a:b], chans[a:b], values[a:b], label, True)
+              for eid, label, a, b in zip(ids.tolist(), labels, bounds[:-1], bounds[1:])]
+    return series, schema
+
+
 def fit_norm(train: Sequence[IrregularSeries], schema: Schema) -> NormStats:
     """Pool all training observations per real channel and fit mean/std.
 
@@ -544,7 +655,9 @@ def bin_series(series_list: Sequence[IrregularSeries], schema: Schema, window: f
     all-zero one-hot for categorical channels. Observations at or beyond
     ``window`` are ignored. Within the concatenated observations of all
     episodes, a stable sort by (episode, bin, channel) finds each cell's last
-    observation and ``maximum.accumulate`` along the steps forward-fills.
+    observation; ``maximum.accumulate`` along the steps forward-fills one
+    integer array of their ranks, through which the values and source bins
+    are gathered.
     """
     if not (window > 0 and bin_width > 0):
         raise ValueError(f"window and bin_width must be positive, got {window}, {bin_width}")
@@ -571,26 +684,32 @@ def bin_series(series_list: Sequence[IrregularSeries], schema: Schema, window: f
     cell = cell[order]
     last = np.ones(cell.shape[0], dtype=bool)
     last[:-1] = cell[1:] != cell[:-1]
-    raw = np.zeros((n, steps, n_ch))
+    kept = order[last]  # the last observation of each observed cell
+    cell, vals, bins = cell[last], vals[kept], bins[kept]
     M = np.zeros((n, steps, n_ch))
-    raw.reshape(-1)[cell[last]] = vals[order[last]]
-    M.reshape(-1)[cell[last]] = 1.0
+    M.reshape(-1)[cell] = 1.0
+    # rank[e, t, c]: 1 + the rank of the latest observed cell of (e, c) at or
+    # before step t, 0 before the first; cells rise with the step within
+    # (e, c), so a running maximum along the steps forward-fills the ranks
+    rank = np.zeros((n, steps, n_ch), np.int32 if cell.shape[0] < 2**31 else np.int64)
+    rank.reshape(-1)[cell] = np.arange(1, cell.shape[0] + 1)
+    np.maximum.accumulate(rank, axis=1, out=rank)
+    filled = np.concatenate([[0.0], vals])[rank]
+    source = np.concatenate([[0], bins]).astype(rank.dtype)[rank]
+    D = (np.arange(steps, dtype=rank.dtype)[:, None] - source) * bin_width
 
-    step_idx = np.arange(steps)
-    last_obs = np.maximum.accumulate(np.where(M == 1.0, step_idx[:, None], -1), axis=1)
-    source = np.maximum(last_obs, 0)
-    D = (step_idx[:, None] - source) * bin_width
-    filled = np.take_along_axis(raw, source, axis=1)
-
-    X = np.zeros((n, steps, sum(spec.n_columns for spec in schema.channels)))
-    col = 0
-    for ch, spec in enumerate(schema.channels):
-        if spec.kind == "real":
-            X[..., col] = filled[..., ch]
-        else:
-            X[..., col : col + spec.cardinality] = (last_obs[..., ch, None] >= 0) & (
-                filled[..., ch, None].astype(np.int64) == np.arange(spec.cardinality))
-        col += spec.n_columns
+    if all(spec.kind == "real" for spec in schema.channels):
+        X = filled
+    else:
+        X = np.zeros((n, steps, sum(spec.n_columns for spec in schema.channels)))
+        col = 0
+        for ch, spec in enumerate(schema.channels):
+            if spec.kind == "real":
+                X[..., col] = filled[..., ch]
+            else:
+                X[..., col : col + spec.cardinality] = (rank[..., ch, None] > 0) & (
+                    filled[..., ch, None].astype(np.int64) == np.arange(spec.cardinality))
+            col += spec.n_columns
 
     return BinnedBatch(series=series_list, X=X, M=M, D=D, window=float(window))
 

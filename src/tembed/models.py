@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write_bytes, check_int, check_real, make_rng
+from ._util import atomic_write_npz, check_int, check_real, make_rng
 from .encoding import EncoderConfig
 from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
@@ -699,17 +699,13 @@ def clone_params(params: dict) -> dict:
 
 def save_params(path: str, params: dict, spec: ModelSpec | None = None) -> None:
     """Serialize named tensors plus a JSON shape manifest; bit-exact round-trip."""
-    import io
-
     meta = {
         "format_version": PARAMS_FORMAT_VERSION,
         "tensors": {name: list(arr.shape) for name, arr in sorted(params.items())},
     }
     if spec is not None:
         meta["model_spec"] = spec.to_dict()
-    buf = io.BytesIO()
-    np.savez(buf, __meta__=np.array(json.dumps(meta, sort_keys=True)), **params)
-    atomic_write_bytes(path, buf.getvalue())
+    atomic_write_npz(path, meta, params)
 
 
 def load_params(path: str) -> tuple[dict, dict]:

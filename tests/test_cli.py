@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,7 +125,7 @@ class TestTrain:
 
     def test_writes_report_params_experiment(self, run_dir, capsys):
         for name in ("report.json", "report.csv", "experiment.json",
-                     "params_fold0.npz", "params_fold1.npz"):
+                     "params_fold0.npz", "params_fold1.npz", "test_episodes.npz"):
             assert os.path.exists(os.path.join(run_dir, name)), name
 
     def test_report_json_contents(self, run_dir):
@@ -162,10 +164,9 @@ class TestTrain:
         out = str(tmp_path / "again")
         cfg = write_config(tmp_path, dict(TRAIN_CONFIG, out=out))
         assert run(["train", "--config", cfg], capsys)[0] == 0
-        with open(os.path.join(run_dir, "report.json")) as fa, open(
-            os.path.join(out, "report.json")
-        ) as fb:
-            assert fa.read() == fb.read()
+        for name in ("report.json", "test_episodes.npz"):
+            with open(os.path.join(run_dir, name), "rb") as fa, open(os.path.join(out, name), "rb") as fb:
+                assert fa.read() == fb.read(), name
 
     def test_stdout_summary(self, tmp_path, capsys):
         out = str(tmp_path / "run2")
@@ -267,6 +268,7 @@ class TestSweep:
             fh.write("kept\n")
         loads = []
         monkeypatch.setattr(cli, "_load_dataset", lambda *a: loads.append("data"))
+        monkeypatch.setattr(cli, "load_episodes", lambda *a: loads.append("test set"))
         monkeypatch.setattr(cli, "load_params", lambda *a: loads.append("params"))
         code, _, stderr = run(
             ["sweep", "--run-dir", run_dir, "--keep-fractions", "1.0", "--out", out], capsys
@@ -516,6 +518,14 @@ class TestEncode:
 
 
 class TestParser:
+    def test_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "tembed", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: tembed ")
+
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])

@@ -321,10 +321,11 @@ class TestNormalization:
         assert not eps[0].normalized
 
     def test_stats_serialize_round_trip(self):
-        stats = NormStats(mean=np.array([1.0, 2.0]), std=np.array([3.0, 4.0]))
-        back = NormStats.from_dict(stats.to_dict())
-        npt.assert_array_equal(back.mean, stats.mean)
-        npt.assert_array_equal(back.std, stats.std)
+        # experiment.json records the stats as JSON numbers; they keep every bit
+        stats = NormStats(mean=np.array([1.0, 0.1]), std=np.array([3.0, 1 / 3]))
+        back = json.loads(json.dumps(stats.to_dict()))
+        npt.assert_array_equal(back["mean"], stats.mean)
+        npt.assert_array_equal(back["std"], stats.std)
 
 
 def binned(s, schema, window, bin_width):

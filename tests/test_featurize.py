@@ -8,6 +8,8 @@ in whole-array passes, so X, M and D must match bit for bit, signed zeros
 included, over random schemas, series and grids.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,3 +212,23 @@ def test_build_features_across_chunks_matches_oracle(te_mode):
     assert batch.M is None and batch.D is None
     assert batch.series == tuple(episodes)
     assert_same_bits(batch.X, oracle_features(episodes, schema, 12.0, 1.5, te_mode, te_cfg))
+
+
+def test_binning_a_sweep_block_stays_within_its_memory_bound():
+    # a sweep thread bins one 128-episode block; over 18 real channels and 48
+    # steps the X, M and D it returns take 0.84 MiB each. Forward-filling one
+    # int32 rank array peaks at 7.0 MiB with numpy 2.4, where filling values
+    # and step indices separately peaked at 9.0 MiB.
+    synth = SynthConfig(n_channels=18, rate_per_hour=0.5, window_hours=48.0,
+                        task="elapsed_regression", rng_seed=1006)
+    episodes, _ = gen_dataset(synth, 128)
+    schema = synth_schema(synth)
+    bin_series(episodes, schema, 48.0, 1.0)  # numpy's first-call allocations stay out
+    tracemalloc.start()
+    try:
+        batch = bin_series(episodes, schema, 48.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.X.shape == (128, 48, 18)
+    assert peak < 8 * 2**20, f"binning peaked at {peak / 2**20:.2f} MiB"
