@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic RNG construction, canonical JSON, atomic writes, number checks."""
+"""Shared helpers: deterministic RNG construction, canonical JSON, atomic writes and
+the readers of what they write, number checks."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import math
 import numbers
 import os
 import tempfile
+import zipfile
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +86,31 @@ def atomic_write_npz(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> No
     atomic_write_bytes(path, buf.getvalue())
 
 
+def read_npz(path: str, what: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """The ``__meta__`` object and the arrays of an :func:`atomic_write_npz`
+    container, read without unpickling anything. A container that is not a
+    readable zip, holds a pickle, lacks a JSON-object ``__meta__`` or gives a
+    ``format_version`` other than ``version`` raises ValueError."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            arrays = {}
+            for name in zf.namelist():
+                with zf.open(name) as fh:
+                    arrays[name.removesuffix(".npy")] = np.lib.format.read_array(fh, allow_pickle=False)
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a readable npz container ({exc})") from None
+    try:
+        meta = json.loads(str(arrays.pop("__meta__")[()]))
+    except (KeyError, ValueError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError("__meta__ is not a JSON object")
+    if meta.get("format_version") != version:
+        raise ValueError(f"unsupported {what} container version {meta.get('format_version')!r}, "
+                         f"expected {version}")
+    return meta, arrays
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Text form of :func:`atomic_write_bytes`, encoded as text-mode ``open`` encodes."""
     atomic_write_bytes(path, text.encode(locale.getpreferredencoding(False)))
@@ -92,6 +119,15 @@ def atomic_write_text(path: str, text: str) -> None:
 def write_json_document(path: str, obj) -> None:
     """Atomically write an indented, key-sorted JSON document for people to read."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json_document(path: str):
+    """The JSON document at ``path``; invalid JSON raises ValueError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that do not decode
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def float_repr(x: float) -> str:

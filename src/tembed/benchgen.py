@@ -26,7 +26,7 @@ platforms and episodes can be generated in any order or in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,19 +65,11 @@ class SynthConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "n_channels": self.n_channels,
-            "rate_per_hour": self.rate_per_hour,
-            "window_hours": self.window_hours,
-            "task": self.task,
-            "gap_threshold_hours": self.gap_threshold_hours,
-            "rng_seed": self.rng_seed,
-            "value_mix": self.value_mix,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
         return cls(**d)

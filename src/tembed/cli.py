@@ -11,7 +11,8 @@ Subcommands:
              normalized test episodes;
 * ``sweep``  re-evaluate a finished training run under observation
              dropout and write the fraction-by-metric CSV; it reads only
-             the run directory, never the training data;
+             the run directory, never the training data, and a damaged
+             run file is an error that names the file;
 * ``encode`` append time-embedding columns to a CSV of timestamps.
 
 Every command validates its whole config up front and reports all
@@ -24,13 +25,20 @@ outputs do not depend on that count.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from ._util import atomic_write_text, check_int, check_real, float_repr, write_json_document
+from ._util import (
+    atomic_write_text,
+    check_int,
+    check_real,
+    float_repr,
+    read_json_document,
+    write_json_document,
+)
 from .benchgen import SynthConfig, gen_dataset, synth_schema
 from .dataset import (
     Schema,
@@ -45,7 +53,15 @@ from .dataset import (
     write_csv,
 )
 from .encoding import EncoderConfig, te_batch
-from .models import AttentionSpec, ModelSpec, load_params, save_params
+from .models import (
+    AttentionSpec,
+    ModelSpec,
+    alias,
+    init_params,
+    load_params,
+    model_input_width,
+    save_params,
+)
 from .training import (
     DEFAULT_FRACTIONS,
     Hyper,
@@ -66,6 +82,8 @@ REPORT_CSV = "report.csv"
 EXPERIMENT_FILE = "experiment.json"
 TEST_EPISODES_FILE = "test_episodes.npz"
 SWEEP_CSV = "sweep.csv"
+# the experiment.json entries the sweep reads
+_EXPERIMENT_KEYS = ("spec", "window", "bin_width", "seed", "test_ids", "selected_folds")
 
 
 class CliError(Exception):
@@ -74,12 +92,14 @@ class CliError(Exception):
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        config = read_json_document(path)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise CliError(f"config {exc}") from None
+    if not isinstance(config, dict):
+        raise CliError(f"config {path} must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _check_keys(section: dict, allowed: set[str], context: str, problems: list[str]) -> None:
@@ -150,7 +170,7 @@ def cmd_gen(args) -> int:
 
 _MODEL_KEYS = {"family", "hidden", "te_mode", "te_dim", "te_max_time",
                "head_widths", "mlp_widths", "attention"}
-_TRAIN_KEYS = {"lr", "epochs", "batch_size", "weight_decay", "k", "runs_per_fold"}
+_TRAIN_KEYS = {f.name for f in fields(Hyper)} | {"k", "runs_per_fold"}
 
 
 def _build_model_spec(model: dict, task: str, window: float | None, problems: list[str]) -> ModelSpec | None:
@@ -171,18 +191,14 @@ def _build_model_spec(model: dict, task: str, window: float | None, problems: li
     attention = None
     if family == "sa_lstm":
         att = dict(model.get("attention", {}))
-        _check_keys(att, {"d_a", "r", "penalty_c"}, "model.attention", problems)
+        _check_keys(att, {f.name for f in fields(AttentionSpec)}, "model.attention", problems)
         try:
             attention = AttentionSpec(**att)
         except (ValueError, TypeError) as exc:
             problems.append(f"model.attention: {exc}")
             return None
-    kwargs = {}
-    if "head_widths" in model:
-        kwargs["head_widths"] = tuple(model["head_widths"])
-    if "mlp_widths" in model:
-        kwargs["mlp_widths"] = tuple(model["mlp_widths"])
     try:
+        kwargs = {key: tuple(model[key]) for key in ("head_widths", "mlp_widths") if key in model}
         return ModelSpec(
             family=family, task=task, hidden=model.get("hidden", 0),
             te_mode=te_mode, te_cfg=te_cfg, attention=attention, **kwargs,
@@ -352,6 +368,56 @@ def _load_test_set(run_dir: str, test_ids: list[str]) -> tuple[list, Schema]:
     return test, schema
 
 
+def _read_experiment(run_dir: str) -> tuple[dict, ModelSpec]:
+    """The ``experiment.json`` of a training run and its model spec, with
+    every entry the sweep reads checked."""
+    path = os.path.join(run_dir, EXPERIMENT_FILE)
+    if not os.path.exists(path):
+        raise CliError(f"no {EXPERIMENT_FILE} in {run_dir}; run `tembed train` first")
+    experiment = read_json_document(path)
+    try:
+        if not isinstance(experiment, dict):
+            raise ValueError(f"expected a JSON object, got {type(experiment).__name__}")
+        missing = [key for key in _EXPERIMENT_KEYS if key not in experiment]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        spec = ModelSpec.from_dict(experiment["spec"])
+        check_real("window", experiment["window"], 0, strict=True)
+        check_real("bin_width", experiment["bin_width"], 0, strict=True)
+        check_int("seed", experiment["seed"], 0)
+        folds = experiment["selected_folds"]
+        if not isinstance(folds, list) or not all(type(f) is int and f >= 0 for f in folds):
+            raise ValueError(f"selected_folds must be a list of fold numbers, got {folds!r}")
+    except (ValueError, TypeError) as exc:  # TypeError: spec entries that do not fit ModelSpec
+        raise CliError(f"{path}: {exc}") from None
+    return experiment, spec
+
+
+def _load_selected_params(run_dir: str, experiment: dict, spec: ModelSpec,
+                          schema: Schema) -> dict[int, dict]:
+    """The parameters of the run's selected models, each checked against the
+    tensors that ``spec`` needs for the run's features."""
+    features = build_features([], schema, experiment["window"], experiment["bin_width"], spec)
+    width = model_input_width(spec, *features.X.shape[1:])
+    needed = {name: arr.shape for name, arr in init_params(spec, width, 0).items()}
+    selected: dict[int, dict] = {}
+    for f in experiment["selected_folds"]:
+        path = os.path.join(run_dir, f"params_fold{f}.npz")
+        if not os.path.exists(path):
+            raise CliError(f"missing model file {path}")
+        try:
+            params, _ = load_params(path)
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from None
+        shapes = {name: arr.shape for name, arr in params.items()}
+        wrong = sorted(name for name in shapes.keys() | needed.keys() if shapes.get(name) != needed.get(name))
+        if wrong:
+            raise CliError(f"{path}: tensors {wrong} are missing, extra or misshapen "
+                           f"for the run's {alias(spec)}")
+        selected[f] = params
+    return selected
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args.config) if args.config else {}
     problems: list[str] = []
@@ -368,27 +434,14 @@ def cmd_sweep(args) -> int:
     _require_valid(problems, check_int, "seed",
                    args.seed if args.seed is not None else config.get("seed", 0), 0)
     _fail_if(problems)
-    exp_path = os.path.join(run_dir, EXPERIMENT_FILE)
-    if not os.path.exists(exp_path):
-        raise CliError(f"no {EXPERIMENT_FILE} in {run_dir}; run `tembed train` first")
-    with open(exp_path) as fh:
-        experiment = json.load(fh)
+    experiment, spec = _read_experiment(run_dir)
     seed = args.seed if args.seed is not None else config.get("seed", experiment["seed"])
     out_dir = args.out or config.get("out") or run_dir
     out_path = os.path.join(out_dir, SWEEP_CSV)
     _refuse_existing(out_path, args.force)
 
-    spec = ModelSpec.from_dict(experiment["spec"])
     test, schema = _load_test_set(run_dir, experiment["test_ids"])
-
-    selected_params: dict[int, dict] = {}
-    for f in experiment["selected_folds"]:
-        path = os.path.join(run_dir, f"params_fold{f}.npz")
-        if not os.path.exists(path):
-            raise CliError(f"missing model file {path}")
-        params, _ = load_params(path)
-        selected_params[f] = params
-
+    selected_params = _load_selected_params(run_dir, experiment, spec, schema)
     rows = sweep_dropout(spec, selected_params, test, schema,
                          experiment["window"], experiment["bin_width"],
                          fractions=fractions, base_seed=seed)
@@ -499,10 +552,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,10 +15,10 @@ Labels: CSV with header ``episode_id,label``. Schema: JSON mapping channel
 names to kinds (``real`` or ``categorical`` with a cardinality). Floats are
 written with ``repr`` so a write/read cycle reproduces the exact bits. Fields
 are written unquoted with ``\n`` line ends; reading also accepts quoted
-fields and CRLF line ends, as ``csv.reader`` does. Normalized, labeled
-episodes (a training run's test set): an npz container of columns written
-by :func:`save_episodes` and checked column by column by
-:func:`load_episodes`.
+fields and CRLF line ends, as ``csv.reader`` does; every reading error is a
+``ValueError`` naming its line. Normalized, labeled episodes (a training
+run's test set): an npz container of columns written by :func:`save_episodes`;
+:func:`load_episodes` reads it with ``_util.read_npz`` and checks it column by column.
 """
 
 from __future__ import annotations
@@ -26,16 +26,22 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import warnings
-import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_npz, atomic_write_text, float_repr, make_rng, write_json_document
+from ._util import (
+    atomic_write_npz,
+    atomic_write_text,
+    float_repr,
+    make_rng,
+    read_json_document,
+    read_npz,
+    write_json_document,
+)
 from .encoding import EncoderConfig, te_batch
 
 HOURS_PER_DAY = 24.0
@@ -105,13 +111,8 @@ class Schema:
         raise KeyError(f"unknown channel {name!r}")
 
     def to_dict(self) -> dict:
-        out = []
-        for c in self.channels:
-            entry: dict = {"name": c.name, "kind": c.kind}
-            if c.kind == "categorical":
-                entry["cardinality"] = c.cardinality
-            out.append(entry)
-        return {"channels": out}
+        return {"channels": [{key: value for key, value in asdict(c).items() if value is not None}
+                             for c in self.channels]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
@@ -124,14 +125,14 @@ class Schema:
         for i, entry in enumerate(d["channels"]):
             if not isinstance(entry, dict):
                 raise ValueError(f"schema channel entry {i} must be an object, got {entry!r}")
-            unknown = set(entry) - {"name", "kind", "cardinality"}
+            unknown = set(entry) - {f.name for f in fields(ChannelSpec)}
             if unknown:
                 raise ValueError(f"unknown schema keys {sorted(unknown)} in channel entry {i} {entry!r}")
             missing = {"name", "kind"} - set(entry)
             if missing:
                 raise ValueError(f"schema channel entry {i} {entry!r} lacks {sorted(missing)}")
             try:
-                specs.append(ChannelSpec(entry["name"], entry["kind"], entry.get("cardinality")))
+                specs.append(ChannelSpec(**entry))
             except ValueError as exc:
                 raise ValueError(f"schema channel entry {i}: {exc}") from None
         return cls(channels=tuple(specs))
@@ -142,8 +143,7 @@ def save_schema(path: str, schema: Schema) -> None:
 
 
 def load_schema(path: str) -> Schema:
-    with open(path) as fh:
-        return Schema.from_dict(json.load(fh))
+    return Schema.from_dict(read_json_document(path))
 
 
 @dataclass
@@ -322,7 +322,7 @@ def _field_blocks(fh):
     and commas. From the first block that holds a character in ``_CSV_ONLY``
     or a field that may be longer than ``csv.field_size_limit()`` on,
     csv.reader parses the rest of the file, so such a field raises
-    ``csv.Error`` wherever it stands.
+    ``ValueError`` naming its line wherever it stands.
     """
     line_no = 2
     while text := fh.read(_BLOCK_CHARS):
@@ -335,7 +335,10 @@ def _field_blocks(fh):
         longest = int(np.diff(seps, prepend=-1).max()) - 1
         if longest > csv.field_size_limit() or any(c in text for c in _CSV_ONLY):
             reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
-            yield from _csv_field_blocks(reader, line_no)
+            try:
+                yield from _csv_field_blocks(reader, line_no)
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise ValueError(f"line {line_no - 1 + reader.line_num}: {exc}") from None
             return
         ends = np.flatnonzero(newline)
         n_fields = np.diff(np.searchsorted(seps, ends), prepend=-1)
@@ -420,7 +423,11 @@ def load_csv(data_path: str, schema: Schema, label_path: str | None = None) -> l
     codes: dict[str, int] = {}
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64), np.empty(0))]
     with open(data_path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header_reader = csv.reader(fh)
+        try:
+            header = next(header_reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"line {header_reader.line_num}: {exc}") from None
         if header not in (None, DATA_HEADER):
             raise ValueError(f"{data_path}: expected header {','.join(DATA_HEADER)}, got {header}")
         for block in _field_blocks(fh):
@@ -510,23 +517,6 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     atomic_write_npz(path, meta, columns)
 
 
-def _read_columns(path: str) -> dict[str, np.ndarray]:
-    """The arrays of an npz container, refusing pickled members."""
-    try:
-        with zipfile.ZipFile(path) as zf:
-            names = sorted(zf.namelist())
-            expected = sorted(f"{name}.npy" for name in ("__meta__", *_EPISODE_DTYPES))
-            if names != expected:
-                raise ValueError(f"holds {names}, expected {expected}")
-            columns = {}
-            for name in names:
-                with zf.open(name) as fh:
-                    columns[name[:-4]] = np.lib.format.read_array(fh, allow_pickle=False)
-            return columns
-    except (zipfile.BadZipFile, EOFError) as exc:
-        raise ValueError(f"not a readable npz container ({exc})") from None
-
-
 def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
     """Read what :func:`save_episodes` wrote: the normalized episodes, in the
     order they were saved, and their schema.
@@ -537,16 +527,11 @@ def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
     labels (finite) are checked in whole-column passes before any series is
     built; a problem raises ``ValueError``.
     """
-    columns = _read_columns(path)
-    try:
-        meta = json.loads(str(columns.pop("__meta__")[()]))
-    except ValueError:
-        meta = None
-    if not isinstance(meta, dict):
-        raise ValueError("__meta__ is not a JSON object")
-    if meta.get("format_version") != EPISODES_FORMAT_VERSION:
-        raise ValueError(f"unsupported episode container version {meta.get('format_version')!r}, "
-                         f"expected {EPISODES_FORMAT_VERSION}")
+    meta, columns = read_npz(path, "episode", EPISODES_FORMAT_VERSION)
+    names = sorted(f"{name}.npy" for name in ("__meta__", *columns))
+    expected = sorted(f"{name}.npy" for name in ("__meta__", *_EPISODE_DTYPES))
+    if names != expected:
+        raise ValueError(f"holds {names}, expected {expected}")
     schema = Schema.from_dict(meta.get("schema"))
     for name, kind in _EPISODE_DTYPES.items():
         arr = columns[name]

@@ -36,15 +36,14 @@ here treat them as immutable.
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._util import atomic_write_npz, check_int, check_real, make_rng
+from ._util import atomic_write_npz, check_int, check_real, make_rng, read_npz
 from .encoding import EncoderConfig
 from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
@@ -102,11 +101,10 @@ class ModelSpec:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.te_mode not in TE_MODES:
             raise ValueError(f"te_mode must be one of {TE_MODES}, got {self.te_mode!r}")
-        recurrent = self.family in ("lstm", "sa_lstm")
-        check_int("hidden", self.hidden, 1 if recurrent else 0)
+        check_int("hidden", self.hidden, 1 if self.recurrent else 0)
         for width in (*self.head_widths, *self.mlp_widths):
             check_int("layer width", width, 1)
-        if not recurrent and self.hidden != 0:
+        if not self.recurrent and self.hidden != 0:
             raise ValueError(f"{self.family} has no hidden state; leave hidden at 0")
         if (self.attention is not None) != (self.family == "sa_lstm"):
             raise ValueError("attention settings are required for sa_lstm and only for sa_lstm")
@@ -115,7 +113,7 @@ class ModelSpec:
         if self.te_mode in ("none", "mask") and self.te_cfg is not None:
             raise ValueError(f"te_mode {self.te_mode!r} takes no te_cfg")
         if self.te_mode == "add_te":
-            if not recurrent:
+            if not self.recurrent:
                 raise ValueError("add_te applies only to lstm and sa_lstm")
             if self.te_cfg.dim != self.hidden:
                 raise ValueError(
@@ -131,39 +129,17 @@ class ModelSpec:
         return self.family in ("lstm", "sa_lstm")
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "family": self.family,
-            "task": self.task,
-            "hidden": self.hidden,
-            "head_widths": list(self.head_widths),
-            "mlp_widths": list(self.mlp_widths),
-            "te_mode": self.te_mode,
-        }
-        if self.te_cfg is not None:
-            d["te_cfg"] = {
-                "dim": self.te_cfg.dim,
-                "max_time": self.te_cfg.max_time,
-                "base_kind": self.te_cfg.base_kind,
-            }
-        if self.attention is not None:
-            d["attention"] = {
-                "d_a": self.attention.d_a,
-                "r": self.attention.r,
-                "penalty_c": self.attention.penalty_c,
-            }
-        return d
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        known = {"family", "task", "hidden", "head_widths", "mlp_widths", "te_mode", "te_cfg", "attention"}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ValueError(f"a model spec is a JSON object, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown model spec keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "head_widths" in kwargs:
-            kwargs["head_widths"] = tuple(kwargs["head_widths"])
-        if "mlp_widths" in kwargs:
-            kwargs["mlp_widths"] = tuple(kwargs["mlp_widths"])
+        kwargs = {key: tuple(value) if isinstance(value, list) else value for key, value in d.items()}
         if kwargs.get("te_cfg") is not None:
             kwargs["te_cfg"] = EncoderConfig(**kwargs["te_cfg"])
         if kwargs.get("attention") is not None:
@@ -710,17 +686,16 @@ def save_params(path: str, params: dict, spec: ModelSpec | None = None) -> None:
 
 def load_params(path: str) -> tuple[dict, dict]:
     """Inverse of save_params; validates shapes against the manifest."""
-    with np.load(path) as data:
-        meta = json.loads(str(data["__meta__"][()]))
-        if meta.get("format_version") != PARAMS_FORMAT_VERSION:
-            raise ValueError(f"unsupported params container version {meta.get('format_version')!r}")
-        params = {name: data[name] for name in data.files if name != "__meta__"}
-    for name, shape in meta["tensors"].items():
+    meta, params = read_npz(path, "params", PARAMS_FORMAT_VERSION)
+    tensors = meta.get("tensors")
+    if not isinstance(tensors, dict):
+        raise ValueError("manifest lists no tensors")
+    for name, shape in tensors.items():
         if name not in params:
             raise ValueError(f"container missing tensor {name!r} declared in manifest")
         if list(params[name].shape) != shape:
             raise ValueError(f"tensor {name!r} has shape {params[name].shape}, manifest says {shape}")
-    extra = set(params) - set(meta["tensors"])
+    extra = set(params) - set(tensors)
     if extra:
         raise ValueError(f"container has undeclared tensors: {sorted(extra)}")
     return params, meta

@@ -26,8 +26,9 @@ report does not depend on the CPU count; limit the process's CPUs (for
 example with ``taskset -c 0``) to train serially. Scoring
 (``predict_scores``) goes through ``models.predict``, which fans out the
 same way when called outside a job and runs on the job's own thread inside
-one, so the CPUs are not oversubscribed. A job reads its fold's episodes
-from the pool's X through row indices instead of copying them.
+one, so the CPUs are not oversubscribed. Putting the episodes in id order
+and a job's folds select rows of the pool's X (``ArrayData.take``) and copy
+none; ``build_features`` featurizes in ``predict``'s row blocks.
 
 ``sweep_dropout`` fans out the same way over (row block, fraction) items:
 each thins, featurizes and scores one of ``predict``'s row blocks on the
@@ -38,7 +39,7 @@ computes with the same helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -95,12 +96,7 @@ class Hyper:
         check_int("batch_size", self.batch_size, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "weight_decay": self.weight_decay,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -120,17 +116,9 @@ class OptState:
 
 def init_opt_state(params: dict, lr: float, weight_decay: float,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptState:
-    return OptState(
-        m=zeros_like_params(params),
-        v=zeros_like_params(params),
-        vmax=zeros_like_params(params),
-        t=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        weight_decay=weight_decay,
-    )
+    return OptState(m=zeros_like_params(params), v=zeros_like_params(params),
+                    vmax=zeros_like_params(params), t=0, lr=lr, beta1=beta1, beta2=beta2,
+                    eps=eps, weight_decay=weight_decay)
 
 
 def opt_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptState]:
@@ -143,26 +131,15 @@ def opt_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptState
     t = state.t + 1
     b1c = 1.0 - state.beta1 ** t
     b2c = 1.0 - state.beta2 ** t
-    new_params = {}
-    new_m = {}
-    new_v = {}
-    new_vmax = {}
+    new_params, new_m, new_v, new_vmax = {}, {}, {}, {}
     for name, theta in params.items():
         g = grads[name]
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        vmax = np.maximum(state.vmax[name], v)
+        new_m[name] = m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        new_v[name] = v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        new_vmax[name] = vmax = np.maximum(state.vmax[name], v)
         step = state.lr * (m / b1c) / (np.sqrt(vmax / b2c) + state.eps)
         new_params[name] = theta * (1.0 - state.lr * state.weight_decay) - step
-        new_m[name] = m
-        new_v[name] = v
-        new_vmax[name] = vmax
-    new_state = OptState(
-        m=new_m, v=new_v, vmax=new_vmax, t=t,
-        lr=state.lr, beta1=state.beta1, beta2=state.beta2,
-        eps=state.eps, weight_decay=state.weight_decay,
-    )
-    return new_params, new_state
+    return new_params, replace(state, m=new_m, v=new_v, vmax=new_vmax, t=t)
 
 
 @dataclass
@@ -174,7 +151,6 @@ class ArrayData:
 
     X: np.ndarray
     y: np.ndarray
-    episode_ids: tuple[str, ...]
     rows: np.ndarray | None = None
 
     @property
@@ -188,19 +164,7 @@ class ArrayData:
     def take(self, idx) -> "ArrayData":
         """The episodes at ``idx``, sharing this X."""
         idx = np.asarray(idx, dtype=np.intp)
-        ids = tuple(self.episode_ids[i] for i in idx.tolist())
-        rows = idx if self.rows is None else self.rows[idx]
-        return ArrayData(X=self.X, y=self.y[idx], episode_ids=ids, rows=rows)
-
-    def subset(self, idx) -> "ArrayData":
-        """A copy of the episodes at ``idx``."""
-        part = self.take(idx)
-        return ArrayData(X=self.X[part.rows], y=part.y, episode_ids=part.episode_ids)
-
-
-# Episodes featurized per pass: the working arrays of bin_series and the
-# attachments stay one chunk's worth next to X, whatever the episode count.
-_CHUNK = 256
+        return ArrayData(X=self.X, y=self.y[idx], rows=idx if self.rows is None else self.rows[idx])
 
 
 def build_features(series_list, schema: Schema, window: float, bin_width: float,
@@ -208,11 +172,15 @@ def build_features(series_list, schema: Schema, window: float, bin_width: float,
     """Bin the series and write the values and the time columns that
     ``spec.te_mode`` calls for side by side into one X. add_te's columns
     embed the grid times; ``models.forward`` splits them off again and adds
-    them to the hidden states. The result keeps X only; M and D are None."""
+    them to the hidden states. The result keeps X only; M and D are None.
+
+    The series are featurized in ``row_blocks``, so the working arrays of
+    ``bin_series`` and the attachments stay one block's worth next to X
+    whatever the episode count."""
     series_list = tuple(series_list)
     X = None
-    for start in range(0, max(len(series_list), 1), _CHUNK):  # no series: one empty pass
-        part = bin_series(series_list[start : start + _CHUNK], schema, window, bin_width)
+    for start, stop in row_blocks(len(series_list)):  # no series: one empty pass
+        part = bin_series(series_list[start:stop], schema, window, bin_width)
         columns = [part.X]
         if spec.te_mode == "mask":
             columns += attach_mask(part)
@@ -223,7 +191,7 @@ def build_features(series_list, schema: Schema, window: float, bin_width: float,
             columns.append(np.broadcast_to(grid_te, part.X.shape[:2] + grid_te.shape[1:]))
         if X is None:
             X = np.empty((len(series_list), part.X.shape[1], sum(c.shape[2] for c in columns)))
-        np.concatenate(columns, axis=2, out=X[start : start + len(part.series)])
+        np.concatenate(columns, axis=2, out=X[start:stop])
     return BinnedBatch(series=series_list, X=X, M=None, D=None, window=float(window))
 
 
@@ -246,8 +214,7 @@ def _labels(series_list, task: str) -> np.ndarray:
 
 def prepare(batch: BinnedBatch, task: str) -> ArrayData:
     """Arrays of a featurized batch; regression labels are converted to days here."""
-    return ArrayData(X=batch.X, y=_labels(batch.series, task),
-                     episode_ids=tuple(s.episode_id for s in batch.series))
+    return ArrayData(X=batch.X, y=_labels(batch.series, task))
 
 
 def predict_scores(spec: ModelSpec, params: dict, data: ArrayData) -> np.ndarray:
@@ -366,12 +333,10 @@ def aggregate_stats(values) -> dict:
 
 
 def _in_id_order(batch: BinnedBatch, task: str) -> tuple[list[IrregularSeries], ArrayData]:
-    """The batch's episodes and arrays, both sorted by episode id."""
+    """The batch's episodes and arrays, both sorted by episode id; the
+    arrays select from the batch's X without copying it."""
     order = sorted(range(len(batch.series)), key=lambda i: batch.series[i].episode_id)
-    data = prepare(batch, task)
-    if order != list(range(len(order))):
-        data = data.subset(order)
-    return [batch.series[i] for i in order], data
+    return [batch.series[i] for i in order], prepare(batch, task).take(order)
 
 
 def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
@@ -448,7 +413,7 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
         "base_seed": base_seed,
         "n_pool": pool_data.n,
         "n_test": test_data.n,
-        "fold_of": {eid: int(fold_of[i]) for i, eid in enumerate(pool_data.episode_ids)},
+        "fold_of": {s.episode_id: int(fold_of[i]) for i, s in enumerate(pool_series)},
         "val_metric_name": val_metric_name(spec.task),
         "rows": rows,
         "aggregate": aggregate,
@@ -505,8 +470,7 @@ def sweep_dropout(spec: ModelSpec, selected_params: dict[int, dict],
         if fractions[fi] != 1.0:
             block = [drop_observations(s, fractions[fi], [base_seed, fi, ei])
                      for ei, s in enumerate(block, start=a)]
-        data = ArrayData(X=build_features(block, schema, window, bin_width, spec).X,
-                         y=y[a:b], episode_ids=tuple(s.episode_id for s in block))
+        data = ArrayData(X=build_features(block, schema, window, bin_width, spec).X, y=y[a:b])
         return [predict_scores(spec, selected_params[f], data) for f in folds]
 
     scored = fan_out(score, items)
@@ -519,14 +483,9 @@ def sweep_dropout(spec: ModelSpec, selected_params: dict[int, dict],
             for name, value in _test_metrics(spec.task, y, scores).items():
                 per_metric.setdefault(name, []).append(value)
         for name, values in sorted(per_metric.items()):
-            arr = np.asarray(values)
-            rows.append({
-                "model": alias(spec),
-                "fraction": float(fraction),
-                "metric": name,
-                "value": float(arr.mean()),
-                "std": float(arr.std()),
-            })
+            stats = aggregate_stats(values)
+            rows.append({"model": alias(spec), "fraction": float(fraction), "metric": name,
+                         "value": stats["mean"], "std": stats["std"]})
     return rows
 
 

@@ -56,30 +56,33 @@ def oracle_load_csv(data_path, schema, label_path=None):
     per_episode = {}
     with open(data_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (None, DATA_HEADER):
-            raise ValueError(f"{data_path}: expected header {','.join(DATA_HEADER)}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"line {line_no}: expected 4 fields, got {len(row)}")
-            eid, t_raw, channel, v_raw = row
-            t = oracle_parse_float(t_raw, "time", line_no)
-            if t < 0:
-                raise ValueError(f"line {line_no}: negative time {t_raw!r}")
-            try:
-                ch = schema.index_of(channel)
-            except KeyError:
-                raise ValueError(f"line {line_no}: unknown channel {channel!r}") from None
-            v = oracle_parse_float(v_raw, "value", line_no)
-            spec = schema.channels[ch]
-            if spec.kind == "categorical" and (v != int(v) or not (0 <= v < spec.cardinality)):
-                raise ValueError(
-                    f"line {line_no}: categorical channel {spec.name!r} takes integer values in "
-                    f"[0, {spec.cardinality}), got {v!r}"
-                )
-            per_episode.setdefault(eid, []).append((t, ch, v))
+        try:
+            header = next(reader, None)
+            if header not in (None, DATA_HEADER):
+                raise ValueError(f"{data_path}: expected header {','.join(DATA_HEADER)}, got {header}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ValueError(f"line {line_no}: expected 4 fields, got {len(row)}")
+                eid, t_raw, channel, v_raw = row
+                t = oracle_parse_float(t_raw, "time", line_no)
+                if t < 0:
+                    raise ValueError(f"line {line_no}: negative time {t_raw!r}")
+                try:
+                    ch = schema.index_of(channel)
+                except KeyError:
+                    raise ValueError(f"line {line_no}: unknown channel {channel!r}") from None
+                v = oracle_parse_float(v_raw, "value", line_no)
+                spec = schema.channels[ch]
+                if spec.kind == "categorical" and (v != int(v) or not (0 <= v < spec.cardinality)):
+                    raise ValueError(
+                        f"line {line_no}: categorical channel {spec.name!r} takes integer values in "
+                        f"[0, {spec.cardinality}), got {v!r}"
+                    )
+                per_episode.setdefault(eid, []).append((t, ch, v))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
 
     labels = load_labels(label_path) if label_path is not None else None
     if labels is not None:
@@ -344,19 +347,36 @@ def test_multi_block_generated_file_matches_oracle(tmp_path, line_end, quote_lat
 @pytest.mark.parametrize("quote_first", [False, True])
 def test_field_over_the_csv_size_limit(tmp_path, eid, fails, quote_first):
     # csv.reader refuses a field over csv.field_size_limit() characters
-    # (131,072 by default), whether or not a quote sends the block to it;
-    # 100,000 two-byte characters are within the limit
+    # (131,072 by default), whether or not a quote sends the block to it,
+    # and load_csv names the line; 100,000 two-byte characters are within
+    # the limit
     first = '"e",1.0,hr,2.0' if quote_first else "e,1.0,hr,2.0"
     text = "\n".join([",".join(DATA_HEADER), first, f"{eid},1.0,hr,2.0"]) + "\n"
     path = write_text(tmp_path / "d.csv", text)
     schema = Schema(channels=(ChannelSpec("hr", "real"),))
     if fails:
-        with pytest.raises(csv.Error) as want:
+        with pytest.raises(ValueError, match="^line 3: field larger than field limit") as want:
             oracle_load_csv(path, schema)
-        with pytest.raises(csv.Error, match=f"^{re.escape(str(want.value))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             load_csv(path, schema)
     else:
         assert assert_same_load(path, schema) is None
+
+
+
+@pytest.mark.parametrize("lines,line_no", [
+    ([",".join(DATA_HEADER[:3]) + ",v" + "x" * 200_000], 1),  # the header
+    (["e,1.0,hr,2.0"] * 20 + ["e,1.0,hr," + "9" * 200_000], 22),  # after comma-split blocks
+    (['"e",1.0,hr,2.0'] + ["e,1.0,hr,2.0"] * 20 + ["e,1.0,hr," + "9" * 200_000], 23),  # after csv blocks
+])
+def test_over_long_field_names_its_line(tmp_path, lines, line_no):
+    if line_no > 1:
+        lines = [",".join(DATA_HEADER)] + lines
+    path = write_text(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    schema = Schema(channels=(ChannelSpec("hr", "real"),))
+    with small_blocks(40, 3):
+        error = assert_same_load(path, schema)
+    assert error.startswith(f"line {line_no}: field larger than field limit"), error
 
 
 @st.composite

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tembed import training
+from tembed import models, training
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.dataset import (
     ChannelSpec,
@@ -201,10 +201,10 @@ def test_invalid_categorical_code_names_the_episode_on_both_paths(case, data):
 
 @pytest.mark.parametrize("te_mode", ["none", "mask", "cat_te", "add_te"])
 def test_build_features_across_chunks_matches_oracle(te_mode):
-    # more episodes than one featurization chunk, ending in a partial chunk
+    # more episodes than one featurization block, ending in a partial block
     cfg = SynthConfig(n_channels=3, rate_per_hour=0.7, window_hours=12.0,
                       task="timing_classification", gap_threshold_hours=3.0, rng_seed=5)
-    episodes, _ = gen_dataset(cfg, 2 * training._CHUNK + 37)
+    episodes, _ = gen_dataset(cfg, 2 * models._BLOCK + 37)
     schema = synth_schema(cfg)
     te_cfg = EncoderConfig.temporal(4, 12.0) if te_mode in ("cat_te", "add_te") else None
     spec = ModelSpec(family="lstm", task="classification", hidden=4, te_mode=te_mode, te_cfg=te_cfg)

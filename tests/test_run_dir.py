@@ -295,3 +295,129 @@ def test_sweep_reads_no_training_data(runs, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, name, refuse)
     out = str(tmp_path / "out")
     assert main(["sweep", "--run-dir", runs["synth"], "--keep-fractions", "1.0", "--out", out]) == 0
+
+
+# --- a damaged parameter file or experiment.json fails the sweep by name ---
+
+def _copy_run(runs, tmp_path):
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(runs["csv"], run_dir)
+    return run_dir
+
+
+def _sweep_error(run_dir, capsys):
+    code = main(["sweep", "--run-dir", run_dir, "--keep-fractions", "1.0"])
+    stderr = capsys.readouterr().err
+    assert code == 1, stderr
+    assert not os.path.exists(os.path.join(run_dir, "sweep.csv"))
+    return stderr
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+
+
+def _rewrite_params(change):
+    def damage(path):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        change(arrays)
+        np.savez(path, **arrays)
+    return damage
+
+
+def _drop_tensor(arrays):
+    meta = json.loads(str(arrays["__meta__"]))
+    del meta["tensors"]["lstm.Wh"]
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    del arrays["lstm.Wh"]
+
+
+def _widen_head(arrays):
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["tensors"]["out.b"] = [3]
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    arrays["out.b"] = np.zeros(3)
+
+
+PARAMS_DAMAGE = {
+    "truncated": (_truncate, "not a readable npz container"),
+    "no-meta": (_rewrite_params(lambda a: a.pop("__meta__")), "__meta__ is not a JSON object"),
+    "version": (_rewrite_params(lambda a: a.update(__meta__=np.array('{"format_version": 2}'))),
+                "unsupported params container version 2, expected 1"),
+    "no-manifest": (_rewrite_params(lambda a: a.update(__meta__=np.array('{"format_version": 1}'))),
+                    "manifest lists no tensors"),
+    "pickled": (_rewrite_params(lambda a: a.update(rogue=np.array([None], dtype=object))), "allow_pickle"),
+    "missing-tensor": (_rewrite_params(_drop_tensor), "tensors ['lstm.Wh'] are missing, extra or misshapen"),
+    "misshapen-tensor": (_rewrite_params(_widen_head), "tensors ['out.b'] are missing, extra or misshapen"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(PARAMS_DAMAGE))
+def test_damaged_params_file_is_a_named_error(runs, damage, tmp_path, capsys):
+    change, message = PARAMS_DAMAGE[damage]
+    run_dir = _copy_run(runs, tmp_path)
+    path = os.path.join(run_dir, "params_fold1.npz")
+    change(path)
+    stderr = _sweep_error(run_dir, capsys)
+    assert stderr.startswith(f"error: {path}: ") and message in stderr, stderr
+
+
+def _without(key):
+    return lambda experiment: {k: v for k, v in experiment.items() if k != key}
+
+
+def _with(key, value):
+    return lambda experiment: dict(experiment, **{key: value})
+
+
+def _with_spec(**entries):
+    return lambda experiment: dict(experiment, spec=dict(experiment["spec"], **entries))
+
+
+EXPERIMENT_DAMAGE = {
+    **{f"no-{key}": (_without(key), f"missing keys ['{key}']") for key in cli._EXPERIMENT_KEYS},
+    "te-cfg-key": (_with_spec(te_mode="cat_te", te_cfg={"dim": 4, "scale": 1.0}),
+                   "unexpected keyword argument 'scale'"),
+    "spec-key": (_with_spec(depth=3), "unknown model spec keys: ['depth']"),
+    "spec-list": (_with("spec", []), "a model spec is a JSON object, got []"),
+    "window": (_with("window", "12"), "window must be a finite number > 0, got '12'"),
+    "bin-width": (_with("bin_width", 0), "bin_width must be a finite number > 0, got 0"),
+    "seed": (_with("seed", -1), "seed must be an integer >= 0, got -1"),
+    "folds": (_with("selected_folds", 1), "selected_folds must be a list of fold numbers, got 1"),
+    "fold": (_with("selected_folds", [0.5]), "selected_folds must be a list of fold numbers, got [0.5]"),
+    "not-an-object": (lambda experiment: True, "expected a JSON object, got bool"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(EXPERIMENT_DAMAGE))
+def test_damaged_experiment_is_a_named_error(runs, damage, tmp_path, capsys):
+    change, message = EXPERIMENT_DAMAGE[damage]
+    run_dir = _copy_run(runs, tmp_path)
+    path = os.path.join(run_dir, "experiment.json")
+    with open(path) as fh:
+        experiment = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(change(experiment), fh)
+    stderr = _sweep_error(run_dir, capsys)
+    assert stderr.startswith(f"error: {path}: ") and message in stderr, stderr
+
+
+@pytest.mark.parametrize("name", ["experiment.json", "schema.json"])
+def test_invalid_json_names_its_file(runs, name, tmp_path, capsys):
+    if name == "experiment.json":
+        path = os.path.join(_copy_run(runs, tmp_path), name)
+        argv = ["sweep", "--run-dir", os.path.dirname(path), "--keep-fractions", "1.0"]
+    else:
+        write_dataset(str(tmp_path / "data"))
+        path = str(tmp_path / "data" / name)
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(train_config({"dir": str(tmp_path / "data")}, str(tmp_path / "out"))))
+        argv = ["train", "--config", str(config)]
+    with open(path, "w") as fh:
+        fh.write('{"channels": [{')
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: Expecting property name")

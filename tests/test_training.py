@@ -172,15 +172,17 @@ class TestPrepare:
         assert data.X.shape == (20, 6, 2)
         assert data.n == 20
         assert set(np.unique(data.y)) <= {0.0, 1.0}
-        assert data.episode_ids == tuple(s.episode_id for s in pool.series)
+        assert data.X is pool.X and data.rows is None
 
-    def test_subset_keeps_alignment(self, pool_and_test):
+    def test_take_keeps_alignment(self, pool_and_test):
         pool, _ = pool_and_test
         data = prepare(pool, "classification")
-        sub = data.subset([3, 5])
-        assert sub.n == 2
-        npt.assert_array_equal(sub.X[0], data.X[3])
-        assert sub.episode_ids == (data.episode_ids[3], data.episode_ids[5])
+        sub = data.take([3, 5])
+        assert sub.n == 2 and sub.X is data.X
+        npt.assert_array_equal(sub.batch([0, 1]), data.X[[3, 5]])
+        npt.assert_array_equal(sub.y, data.y[[3, 5]])
+        again = sub.take([1])
+        npt.assert_array_equal(again.batch([0]), data.X[[5]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no episodes"):
@@ -233,7 +235,7 @@ class TestTrainOne:
         pool, _ = pool_and_test
         data = prepare(pool, "classification")
         tr, va = two_class_split(data)
-        train, val = data.subset(tr), data.subset(va)
+        train, val = data.take(tr), data.take(va)
         hyper = Hyper(epochs=3, batch_size=7)
         a = train_one(LOGREG, train, val, hyper, seed=5)
         b = train_one(LOGREG, train, val, hyper, seed=5)
@@ -247,7 +249,7 @@ class TestTrainOne:
         pool, _ = pool_and_test
         data = prepare(pool, "classification")
         tr, va = two_class_split(data)
-        train, val = data.subset(tr), data.subset(va)
+        train, val = data.take(tr), data.take(va)
         result = train_one(LOGREG, train, val, Hyper(epochs=4, batch_size=7), seed=0)
         assert len(result.history) == 4
         for i, row in enumerate(result.history):
@@ -259,7 +261,7 @@ class TestTrainOne:
         pool, _ = pool_and_test
         data = prepare(pool, "classification")
         tr, va = two_class_split(data)
-        train, val = data.subset(tr), data.subset(va)
+        train, val = data.take(tr), data.take(va)
         result = train_one(LOGREG, train, val, Hyper(epochs=6, batch_size=7), seed=1)
         seen = [row["val_metric"] for row in result.history]
         assert result.best_val >= max(seen) or result.best_val == pytest.approx(max(seen))
@@ -268,7 +270,7 @@ class TestTrainOne:
         pool, _ = pool_and_test
         data = prepare(pool, "classification")
         tr, va = two_class_split(data)
-        train, val = data.subset(tr), data.subset(va)
+        train, val = data.take(tr), data.take(va)
         result = train_one(LOGREG, train, val, Hyper(epochs=0), seed=9)
         width = model_input_width(LOGREG, data.X.shape[1], data.X.shape[2])
         fresh = init_params(LOGREG, width, [9, 0])
@@ -281,7 +283,7 @@ class TestTrainOne:
         pool, _ = pool_and_test
         data = prepare(pool, "classification")
         tr, va = two_class_split(data)
-        train, val = data.subset(tr), data.subset(va)
+        train, val = data.take(tr), data.take(va)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
             train_one(LOGREG, train, val, Hyper(lr=1e12, epochs=25, batch_size=7), seed=0)
 
@@ -313,7 +315,7 @@ class TestTrainOne:
         name = {"loss": "loss", "gradient": "backward", "activation": "forward"}[fault]
         monkeypatch.setattr(training, name, sixth_call_fails(getattr(training, name)))
         with pytest.raises(DivergenceError) as info:
-            train_one(LOGREG, data.subset(tr), data.subset(va), Hyper(epochs=3, batch_size=4), 0)
+            train_one(LOGREG, data.take(tr), data.take(va), Hyper(epochs=3, batch_size=4), 0)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("seed", [0, 1, 4])
@@ -323,11 +325,10 @@ class TestTrainOne:
         pool, _ = pool_and_test
         data = prepare(pool, "classification")
         tr, va = two_class_split(data)
-        val = data.subset(va)
-        val.X[...] = 1.7e308
+        val = ArrayData(X=np.full(data.X[va].shape, 1.7e308), y=data.y[va])
         with np.errstate(over="ignore"), \
                 pytest.raises(DivergenceError, match="before the first epoch: .*'output'"):
-            train_one(LOGREG, data.subset(tr), val, Hyper(epochs=2, batch_size=7), seed=seed)
+            train_one(LOGREG, data.take(tr), val, Hyper(epochs=2, batch_size=7), seed=seed)
 
 
 class TestEvaluate:
@@ -358,8 +359,7 @@ class TestEvaluate:
         reps = -(-300 // data.n)
         X = np.concatenate([data.X] * reps)[:300]
         X[256:] = 1e306  # finite scores at the initial weights, overflow once trained
-        val = ArrayData(X=X, y=np.concatenate([data.y] * reps)[:300],
-                        episode_ids=tuple(map(str, range(300))))
+        val = ArrayData(X=X, y=np.concatenate([data.y] * reps)[:300])
         hyper = Hyper(lr=1e3, epochs=2, batch_size=8)
         messages = []
         for cpus in (1, 2):
@@ -367,7 +367,7 @@ class TestEvaluate:
             # the error state is the caller's; predict's worker threads must share it
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(DivergenceError) as info:
-                train_one(LOGREG, data.subset(tr), val, hyper, seed=0)
+                train_one(LOGREG, data.take(tr), val, hyper, seed=0)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0] == ("numeric overflow at epoch 0, in validation: "
@@ -548,17 +548,28 @@ class TestRunCV:
         assert all(calls), f"a trace outlived its step at forward call {calls.index(False)}"
 
     def test_no_job_copies_fold_rows(self, cv, pool_and_test, monkeypatch):
+        # every job, and the test evaluation, selects rows of the X that
+        # build_features returned, also when the pool is not in id order
         report, _ = cv
         pool, test = pool_and_test
-        ids = [s.episode_id for s in pool.series]
-        assert ids == sorted(ids)  # so putting the pool in id order copies nothing either
-        copies = []
-        real_subset = ArrayData.subset
-        monkeypatch.setattr(ArrayData, "subset",
-                            lambda self, idx: copies.append(len(idx)) or real_subset(self, idx))
-        again, _ = run_cv(LOGREG, pool, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=11)
-        assert copies == []
-        assert report_to_json(again) == report_to_json(report)
+        order = np.random.default_rng(4).permutation(len(pool.series))
+        assert order.tolist() != sorted(order.tolist())
+        shuffled = build_features([pool.series[i] for i in order], SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
+        seen = []
+        real_train_one, real_evaluate = training.train_one, training.evaluate
+        monkeypatch.setattr(training, "train_one", lambda spec, fit, val, *rest: (
+            seen.append(("job", fit.X, val.X)) or real_train_one(spec, fit, val, *rest)))
+        monkeypatch.setattr(training, "evaluate", lambda spec, params, data: (
+            seen.append(("test", data.X)) or real_evaluate(spec, params, data)))
+        for pool_batch in (pool, shuffled):
+            seen.clear()
+            again, _ = run_cv(LOGREG, pool_batch, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=11)
+            jobs = [arrays for kind, *arrays in seen if kind == "job"]
+            tests = [arrays for kind, *arrays in seen if kind == "test"]
+            assert len(jobs) == 5 * 2 and len(tests) == 5
+            assert all(X is pool_batch.X for arrays in jobs for X in arrays)
+            assert all(X is test.X for (X,) in tests)
+            assert report_to_json(again) == report_to_json(report)
 
     def test_summary_lines(self, cv):
         report, _ = cv
