@@ -1,5 +1,5 @@
 """Shared helpers: deterministic RNG construction, canonical JSON, atomic writes and
-the readers of what they write, number checks."""
+the readers of what they write, number and JSON-object checks."""
 
 from __future__ import annotations
 
@@ -7,11 +7,12 @@ import hashlib
 import io
 import json
 import locale
-import math
 import numbers
 import os
+import sys
 import tempfile
 import zipfile
+from dataclasses import MISSING, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,10 +30,40 @@ def check_int(name: str, value, low: int):
 def check_real(name: str, value, low: float, *, strict: bool):
     """``value`` if it is a finite real number > ``low`` (``strict``) or >= ``low``,
     else ValueError; a bool is never a real value."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max  # NaN, inf, or an int past every float
             or (value <= low if strict else value < low)):
         raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}")
     return value
+
+
+def check_object(what: str, obj, names=None, required=(), paths=()):
+    """``obj`` if it is a JSON object whose keys all lie in ``names`` (any keys when None),
+    that holds every key in ``required`` and a string or null under each key in ``paths``;
+    else ValueError naming ``what`` and every fault."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(names)) if names is not None else []
+    missing = [key for key in required if key not in obj]
+    faults = [f"unknown keys {unknown}"] if unknown else []
+    faults += [f"missing keys {missing}"] if missing else []
+    faults += [f"{key} must be a path string, got {obj[key]!r}"
+               for key in paths if not isinstance(obj.get(key), (str, type(None)))]
+    if faults:
+        raise ValueError(f"{what}: {'; '.join(faults)}")
+    return obj
+
+
+def from_object(cls, what: str, obj):
+    """``cls(**obj)`` for a dataclass ``cls``, once ``obj`` passes :func:`check_object`
+    with the fields of ``cls`` as its keys, those without a default required; a
+    ValueError from ``cls`` is prefixed with ``what``."""
+    check_object(what, obj, [f.name for f in fields(cls)],
+                 [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING])
+    try:
+        return cls(**obj)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def seed_entropy(seed: int | Sequence[int]) -> list[int]:

@@ -26,11 +26,11 @@ platforms and episodes can be generated in any order or in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import RNG_ALGORITHM, canonical_json, check_int, check_real, make_rng, sha256_hex
+from ._util import RNG_ALGORITHM, canonical_json, check_int, check_real, from_object, make_rng, sha256_hex
 from .dataset import ChannelSpec, IrregularSeries, Schema
 
 TASKS = ("timing_classification", "elapsed_regression")
@@ -69,10 +69,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        return cls(**d)
+        return from_object(cls, "synth config", d)
 
 
 def synth_schema(cfg: SynthConfig) -> Schema:

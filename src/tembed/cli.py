@@ -16,8 +16,12 @@ Subcommands:
 * ``encode`` append time-embedding columns to a CSV of timestamps.
 
 Every command validates its whole config up front and reports all
-problems at once, refuses to overwrite existing outputs unless --force is
-given, and is deterministic for a fixed config and seed. The train command
+problems at once, one ``section: message`` line each, refuses to overwrite
+existing outputs unless --force is given, and is deterministic for a fixed
+config and seed. The config and each of its sections is a JSON object, read
+through ``_util.check_object`` (keys, required keys, path strings) or
+``_util.from_object`` (the same, then the section's dataclass); a section
+with an unknown key still has its known entries checked. The train command
 runs its fold-by-run grid on a thread per CPU the process may use; its
 outputs do not depend on that count.
 """
@@ -27,15 +31,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from ._util import (
     atomic_write_text,
     check_int,
+    check_object,
     check_real,
     float_repr,
+    from_object,
     read_json_document,
     write_json_document,
 )
@@ -92,20 +97,11 @@ class CliError(Exception):
 
 def _load_config(path: str) -> dict:
     try:
-        config = read_json_document(path)
+        return check_object(path, read_json_document(path))
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
     except ValueError as exc:
         raise CliError(f"config {exc}") from None
-    if not isinstance(config, dict):
-        raise CliError(f"config {path} must be a JSON object, got {type(config).__name__}")
-    return config
-
-
-def _check_keys(section: dict, allowed: set[str], context: str, problems: list[str]) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        problems.append(f"{context}: unknown keys {unknown}")
 
 
 def _refuse_existing(path: str, force: bool) -> None:
@@ -118,14 +114,13 @@ def _require(condition: bool, message: str, problems: list[str]) -> None:
         problems.append(message)
 
 
-def _require_valid(problems: list[str], check, *args, **kwargs) -> bool:
-    """Record the problem ``check(*args, **kwargs)`` raises, if any; True if it passes."""
+def _checked(problems: list[str], check, *args, **kwargs):
+    """``check(*args, **kwargs)``, or None after recording the ValueError it raises."""
     try:
-        check(*args, **kwargs)
+        return check(*args, **kwargs)
     except ValueError as exc:
         problems.append(str(exc))
-        return False
-    return True
+        return None
 
 
 def _fail_if(problems: list[str]) -> None:
@@ -136,23 +131,16 @@ def _fail_if(problems: list[str]) -> None:
 def cmd_gen(args) -> int:
     config = _load_config(args.config)
     problems: list[str] = []
-    _check_keys(config, {"synth", "n_episodes", "out"}, "top level", problems)
-    _require("synth" in config, "top level: missing 'synth' section", problems)
-    _require("n_episodes" in config, "top level: missing 'n_episodes'", problems)
+    _checked(problems, check_object, "top level", config, ("synth", "n_episodes", "out"),
+             ("synth", "n_episodes"), paths=("out",))
     out_dir = args.out or config.get("out")
     _require(out_dir is not None, "no output directory (config 'out' or --out)", problems)
-    synth = None
-    if "synth" in config:
-        synth_dict = dict(config["synth"])
+    synth = _checked(problems, check_object, "synth", config.get("synth", {}))
+    if synth is not None:
         if args.seed is not None:
-            synth_dict["rng_seed"] = args.seed
-        try:
-            synth = SynthConfig.from_dict(synth_dict)
-        except (ValueError, TypeError) as exc:
-            problems.append(f"synth: {exc}")
-    n_episodes = config.get("n_episodes")
-    if n_episodes is not None:
-        _require_valid(problems, check_int, "n_episodes", n_episodes, 1)
+            synth = {**synth, "rng_seed": args.seed}
+        synth = _checked(problems, from_object, SynthConfig, "synth", synth)
+    n_episodes = _checked(problems, check_int, "n_episodes", config.get("n_episodes", 1), 1)
     _fail_if(problems)
 
     _refuse_existing(out_dir, args.force)
@@ -168,62 +156,48 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_MODEL_KEYS = {"family", "hidden", "te_mode", "te_dim", "te_max_time",
-               "head_widths", "mlp_widths", "attention"}
-_TRAIN_KEYS = {f.name for f in fields(Hyper)} | {"k", "runs_per_fold"}
+_MODEL_KEYS = ("family", "hidden", "te_mode", "te_dim", "te_max_time", "head_widths", "mlp_widths",
+               "attention")
+_DATA_PATHS = ("dir", "data_csv", "labels_csv", "schema")
 
 
-def _build_model_spec(model: dict, task: str, window: float | None, problems: list[str]) -> ModelSpec | None:
-    _check_keys(model, _MODEL_KEYS, "model", problems)
-    family = model.get("family")
+def _build_model_spec(model, task: str, window: float | None, problems: list[str]) -> ModelSpec | None:
+    if _checked(problems, check_object, "model", model) is None:
+        return None
+    _checked(problems, check_object, "model", model, _MODEL_KEYS)  # the known entries are still checked
     te_mode = model.get("te_mode", "none")
-    te_cfg = None
+    te_cfg = attention = None
     if te_mode in ("cat_te", "add_te"):
         if window is None and "te_max_time" not in model:
             return None  # te_max_time defaults to features.window, whose problem is reported
-        dim = model.get("te_dim", 32)
-        max_time = model.get("te_max_time", window)
         try:
-            te_cfg = EncoderConfig.temporal(dim, max_time)
-        except (ValueError, TypeError) as exc:
+            te_cfg = EncoderConfig.temporal(model.get("te_dim", 32), model.get("te_max_time", window))
+        except ValueError as exc:
             problems.append(f"model: {exc}")
             return None
-    attention = None
-    if family == "sa_lstm":
-        att = dict(model.get("attention", {}))
-        _check_keys(att, {f.name for f in fields(AttentionSpec)}, "model.attention", problems)
-        try:
-            attention = AttentionSpec(**att)
-        except (ValueError, TypeError) as exc:
-            problems.append(f"model.attention: {exc}")
+    if model.get("family") == "sa_lstm":
+        attention = _checked(problems, from_object, AttentionSpec, "model.attention",
+                             model.get("attention", {}))
+        if attention is None:
             return None
-    try:
-        kwargs = {key: tuple(model[key]) for key in ("head_widths", "mlp_widths") if key in model}
-        return ModelSpec(
-            family=family, task=task, hidden=model.get("hidden", 0),
-            te_mode=te_mode, te_cfg=te_cfg, attention=attention, **kwargs,
-        )
-    except (ValueError, TypeError) as exc:
-        problems.append(f"model: {exc}")
-        return None
+    return _checked(problems, from_object, ModelSpec, "model", {
+        "family": model.get("family"), "task": task, "te_cfg": te_cfg, "attention": attention,
+        **{key: model[key] for key in ("hidden", "te_mode", "head_widths", "mlp_widths") if key in model}})
 
 
-def _load_dataset(data: dict, problems: list[str]):
+def _load_dataset(data, problems: list[str]):
     """Resolve the data section to (episodes, schema) or record problems.
 
     Either {"dir": ...} / explicit CSV paths, or an inline synthetic
     source {"synth": {...}, "n_episodes": N}.
     """
-    _check_keys(data, {"dir", "data_csv", "labels_csv", "schema", "synth", "n_episodes"},
-                "data", problems)
+    if _checked(problems, check_object, "data", data, paths=_DATA_PATHS) is None:
+        return None
+    _checked(problems, check_object, "data", data, ("synth", "n_episodes", *_DATA_PATHS))
     if "synth" in data:
-        try:
-            synth = SynthConfig.from_dict(data["synth"])
-        except (ValueError, TypeError) as exc:
-            problems.append(f"data.synth: {exc}")
-            return None
-        n = data.get("n_episodes")
-        if not _require_valid(problems, check_int, "data.n_episodes", n, 1):
+        synth = _checked(problems, from_object, SynthConfig, "data.synth", data["synth"])
+        n = _checked(problems, check_int, "data.n_episodes", data.get("n_episodes"), 1)
+        if synth is None or n is None:
             return None
         episodes, _ = gen_dataset(synth, n)
         return episodes, synth_schema(synth)
@@ -249,46 +223,39 @@ def _load_dataset(data: dict, problems: list[str]):
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     problems: list[str] = []
-    _check_keys(config, {"data", "task", "model", "features", "train", "test_fraction", "seed", "out"},
-                "top level", problems)
-    for required in ("data", "task", "model"):
-        _require(required in config, f"top level: missing '{required}' section", problems)
+    _checked(problems, check_object, "top level", config,
+             ("data", "task", "model", "features", "train", "test_fraction", "seed", "out"),
+             ("data", "task", "model"), paths=("out",))
     task = config.get("task")
     if task not in ("classification", "regression"):
         problems.append(f"task must be 'classification' or 'regression', got {task!r}")
-    features = dict(config.get("features", {}))
-    _check_keys(features, {"window", "bin_width"}, "features", problems)
+    features = _checked(problems, check_object, "features", config.get("features", {})) or {}
+    _checked(problems, check_object, "features", features, ("window", "bin_width"))  # entries still checked
     window = features.get("window", 48.0)
     bin_width = features.get("bin_width", 1.0)
-    window_ok = _require_valid(problems, check_real, "features.window", window, 0, strict=True)
-    _require_valid(problems, check_real, "features.bin_width", bin_width, 0, strict=True)
+    window_ok = _checked(problems, check_real, "features.window", window, 0, strict=True) is not None
+    _checked(problems, check_real, "features.bin_width", bin_width, 0, strict=True)
 
-    train_cfg = dict(config.get("train", {}))
-    _check_keys(train_cfg, _TRAIN_KEYS, "train", problems)
-    k = train_cfg.pop("k", 5)
-    runs_per_fold = train_cfg.pop("runs_per_fold", 10)
-    hyper = None
-    try:
-        hyper = Hyper(**train_cfg)
-    except (ValueError, TypeError) as exc:
-        problems.append(f"train: {exc}")
-    _require_valid(problems, check_int, "train.k", k, 2)
-    _require_valid(problems, check_int, "train.runs_per_fold", runs_per_fold, 1)
+    train = _checked(problems, check_object, "train", config.get("train", {})) or {}
+    k = train.get("k", 5)
+    runs_per_fold = train.get("runs_per_fold", 10)
+    hyper = _checked(problems, from_object, Hyper, "train",
+                     {key: value for key, value in train.items() if key not in ("k", "runs_per_fold")})
+    _checked(problems, check_int, "train.k", k, 2)
+    _checked(problems, check_int, "train.runs_per_fold", runs_per_fold, 1)
 
     test_fraction = config.get("test_fraction", 0.2)
     if not (isinstance(test_fraction, (int, float)) and 0 < test_fraction < 1):
         problems.append(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    _require_valid(problems, check_int, "seed", seed, 0)
+    _checked(problems, check_int, "seed", seed, 0)
     out_dir = args.out or config.get("out")
     _require(out_dir is not None, "no output directory (config 'out' or --out)", problems)
 
-    spec = None
-    if task in ("classification", "regression") and isinstance(config.get("model"), dict):
+    spec = None  # an absent section is reported above, as a missing key
+    if task in ("classification", "regression") and "model" in config:
         spec = _build_model_spec(config["model"], task, window if window_ok else None, problems)
-    loaded = None
-    if isinstance(config.get("data"), dict):
-        loaded = _load_dataset(config["data"], problems)
+    loaded = _load_dataset(config["data"], problems) if "data" in config else None
     _fail_if(problems)
     _refuse_existing(out_dir, args.force)
 
@@ -344,7 +311,7 @@ def _parse_fractions(values, source: str, problems: list[str]) -> list[float] | 
     in (0, 1], returned unique and descending, or None after recording a problem."""
     try:
         fractions = [float(v) for v in values]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         problems.append(f"{source} must be comma-separated numbers, got {values!r}")
         return None
     if not fractions or any(not (0 < f <= 1) for f in fractions):
@@ -376,11 +343,7 @@ def _read_experiment(run_dir: str) -> tuple[dict, ModelSpec]:
         raise CliError(f"no {EXPERIMENT_FILE} in {run_dir}; run `tembed train` first")
     experiment = read_json_document(path)
     try:
-        if not isinstance(experiment, dict):
-            raise ValueError(f"expected a JSON object, got {type(experiment).__name__}")
-        missing = [key for key in _EXPERIMENT_KEYS if key not in experiment]
-        if missing:
-            raise ValueError(f"missing keys {missing}")
+        check_object("experiment", experiment, required=_EXPERIMENT_KEYS)
         spec = ModelSpec.from_dict(experiment["spec"])
         check_real("window", experiment["window"], 0, strict=True)
         check_real("bin_width", experiment["bin_width"], 0, strict=True)
@@ -388,7 +351,7 @@ def _read_experiment(run_dir: str) -> tuple[dict, ModelSpec]:
         folds = experiment["selected_folds"]
         if not isinstance(folds, list) or not all(type(f) is int and f >= 0 for f in folds):
             raise ValueError(f"selected_folds must be a list of fold numbers, got {folds!r}")
-    except (ValueError, TypeError) as exc:  # TypeError: spec entries that do not fit ModelSpec
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
     return experiment, spec
 
@@ -421,7 +384,8 @@ def _load_selected_params(run_dir: str, experiment: dict, spec: ModelSpec,
 def cmd_sweep(args) -> int:
     config = _load_config(args.config) if args.config else {}
     problems: list[str] = []
-    _check_keys(config, {"run_dir", "fractions", "seed", "out"}, "top level", problems)
+    _checked(problems, check_object, "top level", config, ("run_dir", "fractions", "seed", "out"),
+             paths=("run_dir", "out"))
     run_dir = args.run_dir or config.get("run_dir")
     _require(run_dir is not None, "no training run directory (config 'run_dir' or --run-dir)", problems)
     if args.keep_fractions:
@@ -431,7 +395,7 @@ def cmd_sweep(args) -> int:
         fractions = _parse_fractions(config["fractions"], "config fractions", problems)
     else:
         fractions = list(DEFAULT_FRACTIONS)
-    _require_valid(problems, check_int, "seed",
+    _checked(problems, check_int, "seed",
                    args.seed if args.seed is not None else config.get("seed", 0), 0)
     _fail_if(problems)
     experiment, spec = _read_experiment(run_dir)
@@ -454,7 +418,8 @@ def cmd_sweep(args) -> int:
 def cmd_encode(args) -> int:
     config = _load_config(args.config) if args.config else {}
     problems: list[str] = []
-    _check_keys(config, {"input", "dim", "max_time", "out"}, "top level", problems)
+    _checked(problems, check_object, "top level", config, ("input", "dim", "max_time", "out"),
+             paths=("input", "out"))
     input_path = args.input or config.get("input")
     out_path = args.out or config.get("out")
     dim = args.dim if args.dim is not None else config.get("dim", 32)
@@ -462,12 +427,7 @@ def cmd_encode(args) -> int:
     _require(input_path is not None, "no input CSV (config 'input' or --input)", problems)
     _require(out_path is not None, "no output path (config 'out' or --out)", problems)
     _require(max_time is not None, "no max_time (config 'max_time' or --max-time)", problems)
-    cfg = None
-    if max_time is not None:
-        try:
-            cfg = EncoderConfig.temporal(dim, max_time)
-        except ValueError as exc:
-            problems.append(str(exc))
+    cfg = _checked(problems, EncoderConfig.temporal, dim, max_time) if max_time is not None else None
     _fail_if(problems)
     if not os.path.exists(input_path):
         raise CliError(f"input file not found: {input_path}")

@@ -28,7 +28,7 @@ import io
 import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,9 @@ import numpy as np
 from ._util import (
     atomic_write_npz,
     atomic_write_text,
+    check_object,
     float_repr,
+    from_object,
     make_rng,
     read_json_document,
     read_npz,
@@ -116,26 +118,11 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        if not isinstance(d, dict) or set(d) != {"channels"}:
-            got = sorted(d) if isinstance(d, dict) else repr(d)
-            raise ValueError(f"schema document must be an object with exactly one key 'channels', got {got}")
-        if not isinstance(d["channels"], list):
-            raise ValueError(f"schema 'channels' must be a list of channel entries, got {d['channels']!r}")
-        specs = []
-        for i, entry in enumerate(d["channels"]):
-            if not isinstance(entry, dict):
-                raise ValueError(f"schema channel entry {i} must be an object, got {entry!r}")
-            unknown = set(entry) - {f.name for f in fields(ChannelSpec)}
-            if unknown:
-                raise ValueError(f"unknown schema keys {sorted(unknown)} in channel entry {i} {entry!r}")
-            missing = {"name", "kind"} - set(entry)
-            if missing:
-                raise ValueError(f"schema channel entry {i} {entry!r} lacks {sorted(missing)}")
-            try:
-                specs.append(ChannelSpec(**entry))
-            except ValueError as exc:
-                raise ValueError(f"schema channel entry {i}: {exc}") from None
-        return cls(channels=tuple(specs))
+        channels = check_object("schema document", d, ("channels",), ("channels",))["channels"]
+        if not isinstance(channels, list):
+            raise ValueError(f"schema 'channels' must be a list of channel entries, got {channels!r}")
+        return cls(channels=tuple(from_object(ChannelSpec, f"schema channel entry {i}", entry)
+                                  for i, entry in enumerate(channels)))
 
 
 def save_schema(path: str, schema: Schema) -> None:

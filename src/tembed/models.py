@@ -39,11 +39,11 @@ import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write_npz, check_int, check_real, make_rng, read_npz
+from ._util import atomic_write_npz, check_int, check_object, check_real, from_object, make_rng, read_npz
 from .encoding import EncoderConfig
 from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
@@ -102,8 +102,11 @@ class ModelSpec:
         if self.te_mode not in TE_MODES:
             raise ValueError(f"te_mode must be one of {TE_MODES}, got {self.te_mode!r}")
         check_int("hidden", self.hidden, 1 if self.recurrent else 0)
-        for width in (*self.head_widths, *self.mlp_widths):
-            check_int("layer width", width, 1)
+        for name in ("head_widths", "mlp_widths"):  # a JSON list becomes the tuple the field holds
+            widths = getattr(self, name)
+            if not isinstance(widths, (list, tuple)):
+                raise ValueError(f"{name} must be a list of layer widths, got {widths!r}")
+            object.__setattr__(self, name, tuple(check_int("layer width", width, 1) for width in widths))
         if not self.recurrent and self.hidden != 0:
             raise ValueError(f"{self.family} has no hidden state; leave hidden at 0")
         if (self.attention is not None) != (self.family == "sa_lstm"):
@@ -134,17 +137,11 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"a model spec is a JSON object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown model spec keys: {sorted(unknown)}")
-        kwargs = {key: tuple(value) if isinstance(value, list) else value for key, value in d.items()}
-        if kwargs.get("te_cfg") is not None:
-            kwargs["te_cfg"] = EncoderConfig(**kwargs["te_cfg"])
-        if kwargs.get("attention") is not None:
-            kwargs["attention"] = AttentionSpec(**kwargs["attention"])
-        return cls(**kwargs)
+        check_object("model spec", d)
+        nested = {key: from_object(sub, f"model spec.{key}", d[key])
+                  for key, sub in (("te_cfg", EncoderConfig), ("attention", AttentionSpec))
+                  if d.get(key) is not None}
+        return from_object(cls, "model spec", {**d, **nested})
 
 
 def alias(spec: ModelSpec) -> str:

@@ -86,9 +86,8 @@ class TestGen:
         cfg = write_config(tmp_path, {"n_episodes": 0, "typo": 1})
         code, _, stderr = run(["gen", "--config", cfg], capsys)
         assert code == 1
-        assert "missing 'synth'" in stderr
+        assert "top level: unknown keys ['typo']; missing keys ['synth']" in stderr
         assert "n_episodes must be an integer >= 1, got 0" in stderr
-        assert "unknown keys ['typo']" in stderr
         assert "no output directory" in stderr
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -376,19 +375,38 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
      ["model: max_time must be a finite number > 0, got True"], 1),
     ("train", {"train": {"weight_decay": False}},
      ["train: weight_decay must be a finite number >= 0, got False"], 1),
+    ("train", {"train": dict(TRAIN_CONFIG["train"], bogus=2), "model": dict(SA_LSTM, attention={"bogus": 1})},
+     ["train: unknown keys ['bogus']", "model.attention: unknown keys ['bogus']"], 2),
+    ("train", {"features": 5}, ["features must be an object, got 5"], 1),
+    ("train", {"features": "ab"}, ["features must be an object, got 'ab'"], 1),
+    ("train", {"train": 7}, ["train must be an object, got 7"], 1),
+    ("train", {"model": 5}, ["model must be an object, got 5"], 1),
+    ("train", {"model": dict(SA_LSTM, attention=5)}, ["model.attention must be an object, got 5"], 1),
+    ("train", {"data": 5}, ["data must be an object, got 5"], 1),
+    ("gen", {"synth": 5}, ["synth must be an object, got 5"], 1),
+    ("gen", {"synth": "ab"}, ["synth must be an object, got 'ab'"], 1),
+    ("train", {"data": {"synth": 5, "n_episodes": 28}}, ["data.synth must be an object, got 5"], 1),
+    ("gen", {"out": 5}, ["top level: out must be a path string, got 5"], 1),
+    ("train", {"out": 5}, ["top level: out must be a path string, got 5"], 1),
+    ("sweep", {"out": 5}, ["top level: out must be a path string, got 5"], 1),
+    ("encode", {"out": 5}, ["top level: out must be a path string, got 5"], 1),
+    ("sweep", {"run_dir": 5}, ["top level: run_dir must be a path string, got 5"], 1),
+    ("train", {"data": {"dir": 5}}, ["data: dir must be a path string, got 5"], 1),
+    ("train", {"data": {"data_csv": 5, "labels_csv": "labels.csv", "schema": "schema.json"}},
+     ["data: data_csv must be a path string, got 5"], 1),
 ], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
         "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers",
         "hidden-float", "hidden-bool", "head-width-float", "attention-r-float", "penalty-c-nan",
         "synth-channels-float", "synth-channels-bool", "synth-seed-float", "n-episodes-bool",
         "runs-per-fold-bool", "train-seed-negative", "gen-n-episodes-bool", "gen-synth-channels-bool",
-        "bin-width-bool", "gen-rate-bool", "synth-window-bool", "te-max-time-bool", "weight-decay-bool"])
+        "bin-width-bool", "gen-rate-bool", "synth-window-bool", "te-max-time-bool", "weight-decay-bool",
+        "unknown-train-and-attention-keys", "features-int", "features-str", "train-int", "model-int",
+        "attention-int", "data-int", "gen-synth-int", "gen-synth-str", "data-synth-int", "gen-out-int",
+        "train-out-int", "sweep-out-int", "encode-out-int", "run-dir-int", "data-dir-int", "data-csv-int"])
 def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
-    if command == "train":
-        config = dict(TRAIN_CONFIG, out=str(tmp_path / "o"), **config)
-    elif command == "gen":
-        config = dict({"synth": SYNTH, "n_episodes": 5}, out=str(tmp_path / "o"), **config)
-    else:
-        config = dict(run_dir=run_dir, out=str(tmp_path / "o"), **config)
+    base = {"train": TRAIN_CONFIG, "gen": {"synth": SYNTH, "n_episodes": 5}, "sweep": {"run_dir": run_dir},
+            "encode": {"input": str(tmp_path / "times.csv"), "max_time": 48.0}}[command]
+    config = {**base, "out": str(tmp_path / "o"), **config}
     code, _, stderr = run([command, "--config", write_config(tmp_path, config)], capsys)
     assert code == 1
     assert "config problems" in stderr

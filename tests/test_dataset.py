@@ -93,7 +93,7 @@ class TestSchema:
 
     @pytest.mark.parametrize("doc,match", [
         ({"channels": [{"name": "a", "kind": "real"}, {"kind": "real"}]},
-         r"channel entry 1 \{'kind': 'real'\} lacks \['name'\]"),
+         r"schema channel entry 1: missing keys \['name'\]"),
         ({"channels": 5}, "'channels' must be a list of channel entries, got 5"),
         ({"channels": ["ch00"]}, "channel entry 0 must be an object, got 'ch00'"),
         ([{"name": "a", "kind": "real"}], "schema document must be an object"),

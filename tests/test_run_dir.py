@@ -381,15 +381,15 @@ def _with_spec(**entries):
 EXPERIMENT_DAMAGE = {
     **{f"no-{key}": (_without(key), f"missing keys ['{key}']") for key in cli._EXPERIMENT_KEYS},
     "te-cfg-key": (_with_spec(te_mode="cat_te", te_cfg={"dim": 4, "scale": 1.0}),
-                   "unexpected keyword argument 'scale'"),
-    "spec-key": (_with_spec(depth=3), "unknown model spec keys: ['depth']"),
-    "spec-list": (_with("spec", []), "a model spec is a JSON object, got []"),
+                   "model spec.te_cfg: unknown keys ['scale']"),
+    "spec-key": (_with_spec(depth=3), "model spec: unknown keys ['depth']"),
+    "spec-list": (_with("spec", []), "model spec must be an object, got []"),
     "window": (_with("window", "12"), "window must be a finite number > 0, got '12'"),
     "bin-width": (_with("bin_width", 0), "bin_width must be a finite number > 0, got 0"),
     "seed": (_with("seed", -1), "seed must be an integer >= 0, got -1"),
     "folds": (_with("selected_folds", 1), "selected_folds must be a list of fold numbers, got 1"),
     "fold": (_with("selected_folds", [0.5]), "selected_folds must be a list of fold numbers, got [0.5]"),
-    "not-an-object": (lambda experiment: True, "expected a JSON object, got bool"),
+    "not-an-object": (lambda experiment: True, "experiment must be an object, got True"),
 }
 
 

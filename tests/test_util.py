@@ -1,4 +1,4 @@
-"""Seeded generators and atomic file writers."""
+"""Seeded generators, atomic file writers, and the number and JSON-object checks."""
 
 import os
 
@@ -8,6 +8,7 @@ import pytest
 
 from tembed import _util
 from tembed._util import atomic_write_bytes, atomic_write_text, make_rng
+from tembed.encoding import EncoderConfig
 
 
 def test_int_and_single_item_seeds_draw_the_same_stream():
@@ -48,3 +49,35 @@ def test_failed_write_keeps_old_target_and_leaves_no_temp_file(tmp_path, monkeyp
             atomic_write_bytes(str(target), "text is not bytes")
     assert target.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400, True, "1"])
+def test_check_real_refuses_what_no_finite_float_holds(value):
+    with pytest.raises(ValueError, match="x must be a finite number > 0"):
+        _util.check_real("x", value, 0, strict=True)
+
+
+@pytest.mark.parametrize("obj,match", [
+    ([1], r"^sec must be an object, got \[1\]$"),
+    ({"a": 1, "zz": 2, "b": 3}, r"^sec: unknown keys \['b', 'zz'\]; missing keys \['c'\]$"),
+    ({"c": 1, "out": 5}, r"^sec: out must be a path string, got 5$"),
+])
+def test_check_object_names_every_fault(obj, match):
+    with pytest.raises(ValueError, match=match):
+        _util.check_object("sec", obj, ("a", "c", "out"), ("c",), paths=("out",))
+
+
+def test_check_object_returns_a_good_object():
+    obj = {"c": 1, "out": None}
+    assert _util.check_object("sec", obj, ("a", "c", "out"), ("c",), paths=("out",)) is obj
+    assert _util.check_object("sec", {"anything": 1}) == {"anything": 1}
+
+
+def test_from_object_checks_fields_then_prefixes_the_constructor_error():
+    assert _util.from_object(EncoderConfig, "enc", {"dim": 4, "max_time": 8.0}) == EncoderConfig(4, 8.0)
+    with pytest.raises(ValueError, match=r"^enc: missing keys \['max_time'\]$"):
+        _util.from_object(EncoderConfig, "enc", {"dim": 4})
+    with pytest.raises(ValueError, match=r"^enc: unknown keys \['scale'\]$"):
+        _util.from_object(EncoderConfig, "enc", {"dim": 4, "max_time": 8.0, "scale": 1})
+    with pytest.raises(ValueError, match=r"^enc: dim must be an even integer >= 2, got 3$"):
+        _util.from_object(EncoderConfig, "enc", {"dim": 3, "max_time": 8.0})
