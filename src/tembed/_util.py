@@ -1,8 +1,10 @@
 """Shared helpers: deterministic RNG construction, canonical JSON, atomic writes and
-the readers of what they write, number and JSON-object checks."""
+the readers of what they write, number checks and the table-driven reader of JSON
+objects."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -27,20 +29,21 @@ def check_int(name: str, value, low: int):
     return value
 
 
-def check_real(name: str, value, low: float, *, strict: bool):
-    """``value`` if it is a finite real number > ``low`` (``strict``) or >= ``low``,
-    else ValueError; a bool is never a real value."""
+def check_real(name: str, value, low: float, *, strict: bool, below: float | None = None):
+    """``value`` if it is a finite real number > ``low`` (``strict``) or >= ``low``, and
+    < ``below`` when that is given, else ValueError; a bool is never a real value."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not abs(value) <= sys.float_info.max  # NaN, inf, or an int past every float
-            or (value <= low if strict else value < low)):
-        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}")
+            or (value <= low if strict else value < low) or (below is not None and value >= below)):
+        bound = f"{'>' if strict else '>='} {low}" + (f" and < {below}" if below is not None else "")
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
     return value
 
 
 def check_object(what: str, obj, names=None, required=(), paths=()):
     """``obj`` if it is a JSON object whose keys all lie in ``names`` (any keys when None),
-    that holds every key in ``required`` and a string or null under each key in ``paths``;
-    else ValueError naming ``what`` and every fault."""
+    that holds every key in ``required`` and a non-empty string or null under each key in
+    ``paths``; else ValueError naming ``what`` and every fault."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be an object, got {obj!r}")
     unknown = sorted(set(obj) - set(names)) if names is not None else []
@@ -48,22 +51,70 @@ def check_object(what: str, obj, names=None, required=(), paths=()):
     faults = [f"unknown keys {unknown}"] if unknown else []
     faults += [f"missing keys {missing}"] if missing else []
     faults += [f"{key} must be a path string, got {obj[key]!r}"
-               for key in paths if not isinstance(obj.get(key), (str, type(None)))]
+               for key in paths if obj.get(key) == "" or not isinstance(obj.get(key), (str, type(None)))]
     if faults:
         raise ValueError(f"{what}: {'; '.join(faults)}")
     return obj
 
 
-def from_object(cls, what: str, obj):
-    """``cls(**obj)`` for a dataclass ``cls``, once ``obj`` passes :func:`check_object`
-    with the fields of ``cls`` as its keys, those without a default required; a
-    ValueError from ``cls`` is prefixed with ``what``."""
-    check_object(what, obj, [f.name for f in fields(cls)],
-                 [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING])
+TOP = "top level"  # the ``what`` of a config document's own entries
+REQUIRED = object()  # the table default of a key that the section must hold
+PATH = object()  # the table check of a path: a non-empty string, or null for none
+
+
+class Needed(str):
+    """The table default of a key that a flag may give instead: the problem of its absence."""
+
+
+def check_section(what: str, obj, table: dict, problems: list[str], build=None):
+    """The values of the JSON object ``obj`` under ``table``, ``{key: (default, check)}``, or
+    ``build(**values)``; None once ``obj`` gave a problem, each recorded in ``problems`` once.
+
+    The key pass (:func:`check_object`, with the REQUIRED keys and the PATH entries) and an
+    absent or null Needed key come first. Each other given entry then goes through
+    ``check(name, value)``, ``name`` being ``what.key`` (``key`` at the TOP level), and takes
+    its result. ``build`` runs once every required key is there, on the table's keys only
+    and an entry that failed its check at its default, so no fault is reported twice; its
+    ValueError is prefixed with ``what``."""
+    first = len(problems)
+    required = [key for key, (default, _) in table.items() if default is REQUIRED]
     try:
-        return cls(**obj)
+        check_object(what, obj, table, required, [key for key, (_, check) in table.items() if check is PATH])
     except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
+        problems.append(str(exc))
+        if not isinstance(obj, dict):
+            return None
+    needed = [default for key, (default, _) in table.items() if isinstance(default, Needed) and obj.get(key) is None]
+    problems += needed
+    values = {key: obj.get(key, default) for key, (default, _) in table.items()}
+    for key, (default, check) in table.items():
+        if key in obj and check not in (None, PATH):
+            try:
+                values[key] = check(key if what == TOP else f"{what}.{key}", obj[key])
+            except ValueError as exc:
+                problems.append(str(exc))
+                values[key] = default
+    if build is not None and not needed and all(key in obj for key in required):
+        try:
+            values = build(**values)
+        except ValueError as exc:
+            problems.append(f"{what}: {exc}")
+    return values if len(problems) == first else None
+
+
+def field_table(cls) -> dict:
+    """The :func:`check_section` table of a dataclass: its fields, checked by the constructor."""
+    return {f.name: (REQUIRED if f.default is MISSING else f.default, None) for f in fields(cls)}
+
+
+def from_object(cls, what: str, obj):
+    """The dataclass ``cls`` built from ``obj`` by :func:`check_section` under its
+    :func:`field_table`; its problems, each naming ``what``, raise one ValueError."""
+    problems: list[str] = []
+    built = check_section(what, obj, field_table(cls), problems, cls)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return built
 
 
 def seed_entropy(seed: int | Sequence[int]) -> list[int]:
@@ -159,6 +210,16 @@ def read_json_document(path: str):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that do not decode
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
+@contextlib.contextmanager
+def open_text(path: str, **kwargs):
+    """``open(path, **kwargs)``, undecodable bytes a ValueError naming ``path``."""
+    with open(path, **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not valid text: {exc}") from None
 
 
 def float_repr(x: float) -> str:

@@ -59,6 +59,8 @@ class SynthConfig:
         check_real("window_hours", self.window_hours, 0, strict=True)
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+        if not isinstance(self.value_mix, bool):
+            raise ValueError(f"value_mix must be true or false, got {self.value_mix!r}")
         if check_real("gap_threshold_hours", self.gap_threshold_hours, 0, strict=True) >= self.window_hours:
             raise ValueError(
                 f"gap_threshold_hours must lie in (0, window), got {self.gap_threshold_hours}"

@@ -16,37 +16,47 @@ Subcommands:
 * ``encode`` append time-embedding columns to a CSV of timestamps.
 
 Every command validates its whole config up front and reports all
-problems at once, one ``section: message`` line each, refuses to overwrite
-existing outputs unless --force is given, and is deterministic for a fixed
-config and seed. The config and each of its sections is a JSON object, read
-through ``_util.check_object`` (keys, required keys, path strings) or
-``_util.from_object`` (the same, then the section's dataclass); a section
-with an unknown key still has its known entries checked. The train command
-runs its fold-by-run grid on a thread per CPU the process may use; its
-outputs do not depend on that count.
+problems at once, refuses to overwrite existing outputs unless --force is
+given, and is deterministic for a fixed config and seed. Each config
+section has one table below, read by ``_util.check_section``: each key
+once, with its default and its check; a dataclass section takes its keys
+and defaults from its fields and leaves the checks to its constructor.
+Flags are merged into the config first, so a flag value is checked as its
+config entry is. The train command runs its fold-by-run grid on a thread
+per CPU the process may use; its outputs do not depend on that count.
 """
 
 from __future__ import annotations
 
 import argparse
+import numbers
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from ._util import (
+    PATH,
+    REQUIRED,
+    TOP,
+    Needed,
     atomic_write_text,
     check_int,
     check_object,
     check_real,
+    check_section,
+    field_table,
     float_repr,
     from_object,
+    open_text,
     read_json_document,
     write_json_document,
 )
 from .benchgen import SynthConfig, gen_dataset, synth_schema
 from .dataset import (
     Schema,
+    _parse_float,
     apply_norm,
     fit_norm,
     load_csv,
@@ -87,31 +97,78 @@ REPORT_CSV = "report.csv"
 EXPERIMENT_FILE = "experiment.json"
 TEST_EPISODES_FILE = "test_episodes.npz"
 SWEEP_CSV = "sweep.csv"
-# the experiment.json entries the sweep reads
-_EXPERIMENT_KEYS = ("spec", "window", "bin_width", "seed", "test_ids", "selected_folds")
 
 
 class CliError(Exception):
     """A user-facing problem: bad config, missing file, refused overwrite."""
 
 
-def _load_config(path: str) -> dict:
+COUNT = partial(check_int, low=1)
+SEED = partial(check_int, low=0)
+POSITIVE = partial(check_real, low=0, strict=True)
+_NO_OUT = Needed("no output directory (config 'out' or --out)")
+
+
+def _fractions(name: str, values) -> list[float]:
+    """Keep fractions: one or more numbers in (0, 1], returned unique and descending."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers in (0, 1], got {values!r}")
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{name} must be comma-separated numbers, got {values!r}")
+    if not values or not all(0 < v <= 1 for v in values):
+        raise ValueError(f"{name} must be one or more numbers in (0, 1], got {values!r}")
+    return sorted({float(v) for v in values}, reverse=True)
+
+
+def _fold_numbers(name: str, folds) -> list[int]:
+    if not isinstance(folds, list) or not all(type(f) is int and f >= 0 for f in folds):
+        raise ValueError(f"{name} must be a list of fold numbers, got {folds!r}")
+    return folds
+
+
+# One table per config section, {key: (default, check)}; see _util.check_section.
+GEN = {"synth": (REQUIRED, partial(from_object, SynthConfig)), "n_episodes": (REQUIRED, COUNT), "out": (_NO_OUT, PATH)}
+# data, model, features and train are sections with tables of their own
+TRAIN = {"data": (REQUIRED, None), "task": (None, None), "model": (REQUIRED, None), "features": (None, None),
+         "train": (None, None), "test_fraction": (0.2, partial(check_real, low=0, strict=True, below=1)),
+         "seed": (0, SEED), "out": (_NO_OUT, PATH)}
+DATA = {"synth": (None, partial(from_object, SynthConfig)), "n_episodes": (None, COUNT),
+        **dict.fromkeys(("dir", "data_csv", "labels_csv", "schema"), (None, PATH))}
+# te_dim and te_max_time (by default features.window) make the encoder config of cat_te and add_te
+MODEL = {**{key: entry for key, entry in field_table(ModelSpec).items() if key not in ("task", "te_cfg")},
+         "attention": (None, partial(from_object, AttentionSpec)), "te_dim": (32, None), "te_max_time": (None, None)}
+FEATURES = {"window": (48.0, POSITIVE), "bin_width": (1.0, POSITIVE)}
+PROTOCOL = {**field_table(Hyper), "k": (5, partial(check_int, low=2)), "runs_per_fold": (10, COUNT)}
+SWEEP = {"run_dir": (Needed("no training run directory (config 'run_dir' or --run-dir)"), PATH),
+         "fractions": (DEFAULT_FRACTIONS, lambda name, values: _fractions(f"config {name}", values)),
+         "seed": (None, SEED),  # None: the training run's seed
+         "out": (None, PATH)}  # None: the run directory
+ENCODE = {"input": (Needed("no input CSV (config 'input' or --input)"), PATH), "dim": (32, None),
+          "max_time": (Needed("no max_time (config 'max_time' or --max-time)"), None),
+          "out": (Needed("no output path (config 'out' or --out)"), PATH)}
+# the experiment.json that `tembed train` writes; the sweep reads the REQUIRED entries
+EXPERIMENT = {"spec": (REQUIRED, lambda name, spec: ModelSpec.from_dict(spec)), "window": (REQUIRED, POSITIVE),
+              "bin_width": (REQUIRED, POSITIVE), "seed": (REQUIRED, SEED), "test_ids": (REQUIRED, None),
+              "selected_folds": (REQUIRED, _fold_numbers),
+              **dict.fromkeys(("data", "task", "k", "runs_per_fold", "norm_stats"), (None, None))}
+_EXPERIMENT_KEYS = tuple(key for key, (default, _) in EXPERIMENT.items() if default is REQUIRED)
+
+
+def _load_config(path: str | None, **flags) -> dict:
+    """The config document at ``path`` ({} for none), each flag that was given in place
+    of its entry."""
     try:
-        return check_object(path, read_json_document(path))
+        config = check_object(path, read_json_document(path)) if path else {}
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
     except ValueError as exc:
         raise CliError(f"config {exc}") from None
+    return {**config, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _refuse_existing(path: str, force: bool) -> None:
     if os.path.exists(path) and not force:
         raise CliError(f"{path} already exists; pass --force to overwrite")
-
-
-def _require(condition: bool, message: str, problems: list[str]) -> None:
-    if not condition:
-        problems.append(message)
 
 
 def _checked(problems: list[str], check, *args, **kwargs):
@@ -129,20 +186,14 @@ def _fail_if(problems: list[str]) -> None:
 
 
 def cmd_gen(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, out=args.out)
+    if args.seed is not None and isinstance(config.get("synth"), dict):
+        config["synth"] = {**config["synth"], "rng_seed": args.seed}
     problems: list[str] = []
-    _checked(problems, check_object, "top level", config, ("synth", "n_episodes", "out"),
-             ("synth", "n_episodes"), paths=("out",))
-    out_dir = args.out or config.get("out")
-    _require(out_dir is not None, "no output directory (config 'out' or --out)", problems)
-    synth = _checked(problems, check_object, "synth", config.get("synth", {}))
-    if synth is not None:
-        if args.seed is not None:
-            synth = {**synth, "rng_seed": args.seed}
-        synth = _checked(problems, from_object, SynthConfig, "synth", synth)
-    n_episodes = _checked(problems, check_int, "n_episodes", config.get("n_episodes", 1), 1)
+    gen = check_section(TOP, config, GEN, problems)
     _fail_if(problems)
 
+    synth, n_episodes, out_dir = gen["synth"], gen["n_episodes"], gen["out"]
     _refuse_existing(out_dir, args.force)
     episodes, manifest = gen_dataset(synth, n_episodes)
     schema = synth_schema(synth)
@@ -156,60 +207,31 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_MODEL_KEYS = ("family", "hidden", "te_mode", "te_dim", "te_max_time", "head_widths", "mlp_widths",
-               "attention")
-_DATA_PATHS = ("dir", "data_csv", "labels_csv", "schema")
+def _model_spec(task, *, te_dim, te_max_time, attention, **entries) -> ModelSpec:
+    """The ModelSpec of a model section. The encoder entries are checked whatever the
+    te_mode and the attention entry whatever the family; each is used only where it applies."""
+    te_cfg = EncoderConfig.temporal(te_dim, te_max_time)
+    return ModelSpec(task=task, te_cfg=te_cfg if entries["te_mode"] in ("cat_te", "add_te") else None,
+                     attention=(attention or AttentionSpec()) if entries["family"] == "sa_lstm" else None,
+                     **entries)
 
 
-def _build_model_spec(model, task: str, window: float | None, problems: list[str]) -> ModelSpec | None:
-    if _checked(problems, check_object, "model", model) is None:
-        return None
-    _checked(problems, check_object, "model", model, _MODEL_KEYS)  # the known entries are still checked
-    te_mode = model.get("te_mode", "none")
-    te_cfg = attention = None
-    if te_mode in ("cat_te", "add_te"):
-        if window is None and "te_max_time" not in model:
-            return None  # te_max_time defaults to features.window, whose problem is reported
-        try:
-            te_cfg = EncoderConfig.temporal(model.get("te_dim", 32), model.get("te_max_time", window))
-        except ValueError as exc:
-            problems.append(f"model: {exc}")
-            return None
-    if model.get("family") == "sa_lstm":
-        attention = _checked(problems, from_object, AttentionSpec, "model.attention",
-                             model.get("attention", {}))
-        if attention is None:
-            return None
-    return _checked(problems, from_object, ModelSpec, "model", {
-        "family": model.get("family"), "task": task, "te_cfg": te_cfg, "attention": attention,
-        **{key: model[key] for key in ("hidden", "te_mode", "head_widths", "mlp_widths") if key in model}})
-
-
-def _load_dataset(data, problems: list[str]):
-    """Resolve the data section to (episodes, schema) or record problems.
+def _load_dataset(data: dict, problems: list[str]):
+    """Resolve a checked data section to (episodes, schema) or record problems.
 
     Either {"dir": ...} / explicit CSV paths, or an inline synthetic
     source {"synth": {...}, "n_episodes": N}.
     """
-    if _checked(problems, check_object, "data", data, paths=_DATA_PATHS) is None:
-        return None
-    _checked(problems, check_object, "data", data, ("synth", "n_episodes", *_DATA_PATHS))
-    if "synth" in data:
-        synth = _checked(problems, from_object, SynthConfig, "data.synth", data["synth"])
-        n = _checked(problems, check_int, "data.n_episodes", data.get("n_episodes"), 1)
-        if synth is None or n is None:
+    if data["synth"] is not None:
+        if _checked(problems, check_int, "data.n_episodes", data["n_episodes"], 1) is None:
             return None
-        episodes, _ = gen_dataset(synth, n)
-        return episodes, synth_schema(synth)
-    if "dir" in data:
-        base = data["dir"]
-        paths = {
-            "data_csv": os.path.join(base, DATA_FILE),
-            "labels_csv": os.path.join(base, LABELS_FILE),
-            "schema": os.path.join(base, SCHEMA_FILE),
-        }
+        episodes, _ = gen_dataset(data["synth"], data["n_episodes"])
+        return episodes, synth_schema(data["synth"])
+    if data["dir"] is not None:
+        names = {"data_csv": DATA_FILE, "labels_csv": LABELS_FILE, "schema": SCHEMA_FILE}
+        paths = {key: os.path.join(data["dir"], name) for key, name in names.items()}
     else:
-        paths = {key: data.get(key) for key in ("data_csv", "labels_csv", "schema")}
+        paths = {key: data[key] for key in ("data_csv", "labels_csv", "schema")}
     missing = [name for name, p in paths.items() if p is None or not os.path.exists(p)]
     if missing:
         for name in missing:
@@ -220,49 +242,35 @@ def _load_dataset(data, problems: list[str]):
     return episodes, schema
 
 
+def _protocol(k, runs_per_fold, **hyper) -> tuple[Hyper, int, int]:
+    return Hyper(**hyper), k, runs_per_fold
+
+
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, out=args.out, seed=args.seed)
     problems: list[str] = []
-    _checked(problems, check_object, "top level", config,
-             ("data", "task", "model", "features", "train", "test_fraction", "seed", "out"),
-             ("data", "task", "model"), paths=("out",))
-    task = config.get("task")
-    if task not in ("classification", "regression"):
-        problems.append(f"task must be 'classification' or 'regression', got {task!r}")
-    features = _checked(problems, check_object, "features", config.get("features", {})) or {}
-    _checked(problems, check_object, "features", features, ("window", "bin_width"))  # entries still checked
-    window = features.get("window", 48.0)
-    bin_width = features.get("bin_width", 1.0)
-    window_ok = _checked(problems, check_real, "features.window", window, 0, strict=True) is not None
-    _checked(problems, check_real, "features.bin_width", bin_width, 0, strict=True)
-
-    train = _checked(problems, check_object, "train", config.get("train", {})) or {}
-    k = train.get("k", 5)
-    runs_per_fold = train.get("runs_per_fold", 10)
-    hyper = _checked(problems, from_object, Hyper, "train",
-                     {key: value for key, value in train.items() if key not in ("k", "runs_per_fold")})
-    _checked(problems, check_int, "train.k", k, 2)
-    _checked(problems, check_int, "train.runs_per_fold", runs_per_fold, 1)
-
-    test_fraction = config.get("test_fraction", 0.2)
-    if not (isinstance(test_fraction, (int, float)) and 0 < test_fraction < 1):
-        problems.append(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    _checked(problems, check_int, "seed", seed, 0)
-    out_dir = args.out or config.get("out")
-    _require(out_dir is not None, "no output directory (config 'out' or --out)", problems)
-
-    spec = None  # an absent section is reported above, as a missing key
-    if task in ("classification", "regression") and "model" in config:
-        spec = _build_model_spec(config["model"], task, window if window_ok else None, problems)
-    loaded = _load_dataset(config["data"], problems) if "data" in config else None
+    top = check_section(TOP, config, TRAIN, problems)
+    features = check_section("features", config.get("features", {}), FEATURES, problems)
+    protocol = check_section("train", config.get("train", {}), PROTOCOL, problems, _protocol)
+    # a bad window is listed already; the model is checked against the default one
+    window = features["window"] if features else FEATURES["window"][0]
+    spec = data = loaded = None  # an absent section is listed above, as a missing key
+    if "model" in config:
+        spec = check_section("model", config["model"], {**MODEL, "te_max_time": (window, None)}, problems,
+                             partial(_model_spec, config.get("task")))
+    if "data" in config:
+        data = check_section("data", config["data"], DATA, problems)
+    if data is not None:
+        loaded = _load_dataset(data, problems)
     _fail_if(problems)
-    _refuse_existing(out_dir, args.force)
+    _refuse_existing(top["out"], args.force)
 
     episodes, schema = loaded
-    window, bin_width = float(window), float(bin_width)
+    hyper, k, runs_per_fold = protocol
+    task, seed, out_dir = top["task"], top["seed"], top["out"]
+    window, bin_width = float(features["window"]), float(features["bin_width"])
     stratify = task == "classification"
-    pool_raw, test_raw = train_test_split(episodes, test_fraction, [seed, 1], stratify=stratify)
+    pool_raw, test_raw = train_test_split(episodes, top["test_fraction"], [seed, 1], stratify=stratify)
     stats = fit_norm(pool_raw, schema)
     pool = [apply_norm(s, stats, schema) for s in pool_raw]
     test = [apply_norm(s, stats, schema) for s in test_raw]
@@ -306,18 +314,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_fractions(values, source: str, problems: list[str]) -> list[float] | None:
-    """Check keep fractions from --keep-fractions or the config: one or more numbers
-    in (0, 1], returned unique and descending, or None after recording a problem."""
+def _keep_fractions(text: str) -> list[float]:
+    """The --keep-fractions flag, comma-separated numbers in (0, 1]."""
     try:
-        fractions = [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        problems.append(f"{source} must be comma-separated numbers, got {values!r}")
-        return None
-    if not fractions or any(not (0 < f <= 1) for f in fractions):
-        problems.append(f"{source} must be one or more numbers in (0, 1], got {values!r}")
-        return None
-    return sorted(set(fractions), reverse=True)
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--keep-fractions must be comma-separated numbers, got {text!r}") from None
+    return _fractions("--keep-fractions", values)
 
 
 def _load_test_set(run_dir: str, test_ids: list[str]) -> tuple[list, Schema]:
@@ -335,31 +338,23 @@ def _load_test_set(run_dir: str, test_ids: list[str]) -> tuple[list, Schema]:
     return test, schema
 
 
-def _read_experiment(run_dir: str) -> tuple[dict, ModelSpec]:
-    """The ``experiment.json`` of a training run and its model spec, with
-    every entry the sweep reads checked."""
+def _read_experiment(run_dir: str) -> dict:
+    """The ``experiment.json`` of a training run, its ``spec`` a ModelSpec, with every
+    entry the sweep reads checked."""
     path = os.path.join(run_dir, EXPERIMENT_FILE)
     if not os.path.exists(path):
         raise CliError(f"no {EXPERIMENT_FILE} in {run_dir}; run `tembed train` first")
-    experiment = read_json_document(path)
-    try:
-        check_object("experiment", experiment, required=_EXPERIMENT_KEYS)
-        spec = ModelSpec.from_dict(experiment["spec"])
-        check_real("window", experiment["window"], 0, strict=True)
-        check_real("bin_width", experiment["bin_width"], 0, strict=True)
-        check_int("seed", experiment["seed"], 0)
-        folds = experiment["selected_folds"]
-        if not isinstance(folds, list) or not all(type(f) is int and f >= 0 for f in folds):
-            raise ValueError(f"selected_folds must be a list of fold numbers, got {folds!r}")
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-    return experiment, spec
+    problems: list[str] = []
+    experiment = check_section("experiment", read_json_document(path), EXPERIMENT, problems)
+    if problems:
+        raise CliError(f"{path}: {'; '.join(problems)}")
+    return experiment
 
 
-def _load_selected_params(run_dir: str, experiment: dict, spec: ModelSpec,
-                          schema: Schema) -> dict[int, dict]:
+def _load_selected_params(run_dir: str, experiment: dict, schema: Schema) -> dict[int, dict]:
     """The parameters of the run's selected models, each checked against the
-    tensors that ``spec`` needs for the run's features."""
+    tensors that its spec needs for the run's features."""
+    spec = experiment["spec"]
     features = build_features([], schema, experiment["window"], experiment["bin_width"], spec)
     width = model_input_width(spec, *features.X.shape[1:])
     needed = {name: arr.shape for name, arr in init_params(spec, width, 0).items()}
@@ -382,33 +377,23 @@ def _load_selected_params(run_dir: str, experiment: dict, spec: ModelSpec,
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+    config = _load_config(args.config, run_dir=args.run_dir, seed=args.seed, out=args.out)
     problems: list[str] = []
-    _checked(problems, check_object, "top level", config, ("run_dir", "fractions", "seed", "out"),
-             paths=("run_dir", "out"))
-    run_dir = args.run_dir or config.get("run_dir")
-    _require(run_dir is not None, "no training run directory (config 'run_dir' or --run-dir)", problems)
-    if args.keep_fractions:
-        tokens = [tok for tok in args.keep_fractions.split(",") if tok.strip()]
-        fractions = _parse_fractions(tokens, "--keep-fractions", problems)
-    elif "fractions" in config:
-        fractions = _parse_fractions(config["fractions"], "config fractions", problems)
-    else:
-        fractions = list(DEFAULT_FRACTIONS)
-    _checked(problems, check_int, "seed",
-                   args.seed if args.seed is not None else config.get("seed", 0), 0)
+    sweep = check_section(TOP, config, SWEEP, problems)
+    flag_fractions = _checked(problems, _keep_fractions, args.keep_fractions) if args.keep_fractions else None
     _fail_if(problems)
-    experiment, spec = _read_experiment(run_dir)
-    seed = args.seed if args.seed is not None else config.get("seed", experiment["seed"])
-    out_dir = args.out or config.get("out") or run_dir
+    run_dir = sweep["run_dir"]
+    experiment = _read_experiment(run_dir)
+    seed = experiment["seed"] if sweep["seed"] is None else sweep["seed"]
+    out_dir = sweep["out"] or run_dir
     out_path = os.path.join(out_dir, SWEEP_CSV)
     _refuse_existing(out_path, args.force)
 
     test, schema = _load_test_set(run_dir, experiment["test_ids"])
-    selected_params = _load_selected_params(run_dir, experiment, spec, schema)
-    rows = sweep_dropout(spec, selected_params, test, schema,
+    selected_params = _load_selected_params(run_dir, experiment, schema)
+    rows = sweep_dropout(experiment["spec"], selected_params, test, schema,
                          experiment["window"], experiment["bin_width"],
-                         fractions=fractions, base_seed=seed)
+                         fractions=flag_fractions or sweep["fractions"], base_seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(out_path, sweep_to_csv(rows))
     print(f"wrote {len(rows)} rows to {out_path}")
@@ -416,24 +401,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+    config = _load_config(args.config, input=args.input, dim=args.dim, max_time=args.max_time, out=args.out)
     problems: list[str] = []
-    _checked(problems, check_object, "top level", config, ("input", "dim", "max_time", "out"),
-             paths=("input", "out"))
-    input_path = args.input or config.get("input")
-    out_path = args.out or config.get("out")
-    dim = args.dim if args.dim is not None else config.get("dim", 32)
-    max_time = args.max_time if args.max_time is not None else config.get("max_time")
-    _require(input_path is not None, "no input CSV (config 'input' or --input)", problems)
-    _require(out_path is not None, "no output path (config 'out' or --out)", problems)
-    _require(max_time is not None, "no max_time (config 'max_time' or --max-time)", problems)
-    cfg = _checked(problems, EncoderConfig.temporal, dim, max_time) if max_time is not None else None
+    encode = check_section(TOP, config, ENCODE, problems, lambda dim, max_time, **paths: {
+        **paths, "cfg": EncoderConfig.temporal(dim, max_time)})
     _fail_if(problems)
+    input_path, out_path, cfg = encode["input"], encode["out"], encode["cfg"]
     if not os.path.exists(input_path):
         raise CliError(f"input file not found: {input_path}")
     _refuse_existing(out_path, args.force)
 
-    with open(input_path) as fh:
+    with open_text(input_path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CliError(f"{input_path} is empty; expected a header row")
@@ -444,12 +422,7 @@ def cmd_encode(args) -> int:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            t = float(line)
-        except ValueError:
-            raise CliError(f"line {line_no}: timestamp {line!r} is not a number") from None
-        if not np.isfinite(t):
-            raise CliError(f"line {line_no}: timestamp {line!r} is not finite")
+        t = _parse_float(line, "timestamp", line_no)
         if t < 0:
             raise CliError(f"line {line_no}: timestamp {line!r} is negative")
         times.append(t)

@@ -40,6 +40,7 @@ from ._util import (
     float_repr,
     from_object,
     make_rng,
+    open_text,
     read_json_document,
     read_npz,
     write_json_document,
@@ -376,7 +377,7 @@ def _parse_block(line_nos: np.ndarray, n_fields: np.ndarray, fields: list[str],
 def load_labels(path: str) -> dict[str, float]:
     """Read an ``episode_id,label`` CSV into a dict."""
     labels: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -409,7 +410,7 @@ def load_csv(data_path: str, schema: Schema, label_path: str | None = None) -> l
     channel_of = {spec.name: i for i, spec in enumerate(schema.channels)}
     codes: dict[str, int] = {}
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64), np.empty(0))]
-    with open(data_path, newline="") as fh:
+    with open_text(data_path, newline="") as fh:
         header_reader = csv.reader(fh)
         try:
             header = next(header_reader, None)

@@ -98,7 +98,7 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+            raise ValueError(f"task must be {' or '.join(map(repr, TASKS))}, got {self.task!r}")
         if self.te_mode not in TE_MODES:
             raise ValueError(f"te_mode must be one of {TE_MODES}, got {self.te_mode!r}")
         check_int("hidden", self.hidden, 1 if self.recurrent else 0)

@@ -394,6 +394,19 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
     ("train", {"data": {"dir": 5}}, ["data: dir must be a path string, got 5"], 1),
     ("train", {"data": {"data_csv": 5, "labels_csv": "labels.csv", "schema": "schema.json"}},
      ["data: data_csv must be a path string, got 5"], 1),
+    ("gen", {"synth": dict(SYNTH, value_mix="no")}, ["synth: value_mix must be true or false, got 'no'"], 1),
+    ("sweep", {"fractions": "1"}, ["config fractions must be a list of numbers in (0, 1], got '1'"], 1),
+    ("sweep", {"fractions": {"0.5": 1}}, ["config fractions must be a list of numbers in (0, 1], got {'0.5': 1}"], 1),
+    ("train", {"model": {"family": "logreg", "te_dim": []}}, ["model: dim must be an integer >= 2, got []"], 1),
+    ("train", {"model": {"family": "logreg", "te_max_time": "x"}},
+     ["model: max_time must be a finite number > 0, got 'x'"], 1),
+    ("train", {"model": {"family": "logreg", "attention": []}}, ["model.attention must be an object, got []"], 1),
+    ("train", {"model": {"family": "logreg", "te_dim": [], "te_max_time": "x", "attention": []}},
+     ["model.attention must be an object, got []", "model: max_time must be a finite number > 0, got 'x'"], 2),
+    ("gen", {"out": ""}, ["top level: out must be a path string, got ''"], 1),
+    ("train", {"out": ""}, ["top level: out must be a path string, got ''"], 1),
+    ("encode", {"out": ""}, ["top level: out must be a path string, got ''"], 1),
+    ("train", {"test_fraction": 1}, ["test_fraction must be a finite number > 0 and < 1, got 1"], 1),
 ], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
         "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers",
         "hidden-float", "hidden-bool", "head-width-float", "attention-r-float", "penalty-c-nan",
@@ -402,7 +415,10 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
         "bin-width-bool", "gen-rate-bool", "synth-window-bool", "te-max-time-bool", "weight-decay-bool",
         "unknown-train-and-attention-keys", "features-int", "features-str", "train-int", "model-int",
         "attention-int", "data-int", "gen-synth-int", "gen-synth-str", "data-synth-int", "gen-out-int",
-        "train-out-int", "sweep-out-int", "encode-out-int", "run-dir-int", "data-dir-int", "data-csv-int"])
+        "train-out-int", "sweep-out-int", "encode-out-int", "run-dir-int", "data-dir-int", "data-csv-int",
+        "value-mix-str", "fractions-str", "fractions-object", "unused-te-dim-list", "unused-te-max-time-str",
+        "unused-attention-list", "unused-model-entries", "gen-out-empty", "train-out-empty", "encode-out-empty",
+        "test-fraction-one"])
 def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
     base = {"train": TRAIN_CONFIG, "gen": {"synth": SYNTH, "n_episodes": 5}, "sweep": {"run_dir": run_dir},
             "encode": {"input": str(tmp_path / "times.csv"), "max_time": 48.0}}[command]
@@ -414,6 +430,20 @@ def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, conf
         assert message in stderr
     problem_lines = [line for line in stderr.splitlines() if line.startswith("  ")]
     assert len(problem_lines) == n_problems, stderr
+
+
+@pytest.mark.parametrize("name", ["data.csv", "labels.csv"])
+def test_undecodable_dataset_file_is_named(tmp_path, capsys, name):
+    data_dir = str(tmp_path / "data")
+    assert run(["gen", "--config", write_config(tmp_path, {"synth": SYNTH, "n_episodes": 28, "out": data_dir})],
+               capsys)[0] == 0
+    path = os.path.join(data_dir, name)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    cfg = write_config(tmp_path, dict(TRAIN_CONFIG, data={"dir": data_dir}, out=str(tmp_path / "o")))
+    code, _, stderr = run(["train", "--config", cfg], capsys)
+    assert code == 1
+    assert stderr.startswith(f"error: {path} is not valid text: ") and "can't decode byte 0xff" in stderr, stderr
 
 
 def test_train_on_empty_dataset_is_an_error(tmp_path, capsys):
@@ -503,6 +533,16 @@ class TestEncode:
         code, _, stderr = run(["encode", "--input", inp, "--out", out, "--max-time", "48"], capsys)
         assert code == 1
         assert stderr == f"error: line 4: timestamp {raw!r} {problem}\n"
+        assert not os.path.exists(out)
+
+    def test_undecodable_input_is_named(self, tmp_path, capsys):
+        inp = self.write_times(tmp_path, ["1.0"])
+        with open(inp, "ab") as fh:
+            fh.write(b"2.0\xff\n")
+        out = str(tmp_path / "o.csv")
+        code, _, stderr = run(["encode", "--input", inp, "--out", out, "--max-time", "48"], capsys)
+        assert code == 1
+        assert stderr.startswith(f"error: {inp} is not valid text: "), stderr
         assert not os.path.exists(out)
 
     def test_empty_input(self, tmp_path, capsys):

@@ -10,6 +10,12 @@ drawn output path stays inside the example's working directory. Tiny
 positive ``bin_width``s are never drawn: they size the feature grid, which is
 a separate question. Pinned ``@example`` cases are failures this test found,
 now mended.
+
+A second property puts a value of the wrong JSON kind under one key: a list,
+object, string or bool where a number belongs, a non-list where a list
+belongs, a non-bool for ``value_mix`` and a non-object for ``model.attention``.
+Every such config must exit 1 with its problem listed, whatever the model
+family leaves unused.
 """
 
 import contextlib
@@ -69,6 +75,33 @@ VALUES = st.one_of(
     st.lists(st.sampled_from([1, 2, "a", None]), max_size=2),
     st.dictionaries(st.sampled_from(["a", "bogus"]), st.integers(0, 2), max_size=1),
 )
+
+LISTS = st.lists(st.sampled_from([1, 0.5, "a"]), max_size=2)
+OBJECTS = st.dictionaries(st.sampled_from(["a", "0.5"]), st.integers(0, 2), max_size=1)
+TEXT = st.text(st.sampled_from("ab.1 "), max_size=3)
+NOT_A_NUMBER = st.one_of(LISTS, OBJECTS, TEXT, st.booleans())
+NOT_A_LIST = st.one_of(st.sampled_from([1, 0.5]), OBJECTS, TEXT, st.booleans(), st.none())
+NOT_A_BOOL = st.one_of(st.sampled_from([0, 1, 0.5]), LISTS, OBJECTS, TEXT, st.none())
+NOT_AN_OBJECT = st.one_of(st.sampled_from([1, 0.5]), LISTS, TEXT, st.booleans())
+SYNTH_NUMBERS = ("n_channels", "rate_per_hour", "window_hours", "gap_threshold_hours", "rng_seed")
+# (slot, values of a kind its entry never takes) for each command
+WRONG_KINDS = {
+    "gen": [(("n_episodes",), NOT_A_NUMBER), *((("synth", key), NOT_A_NUMBER) for key in SYNTH_NUMBERS),
+            (("synth", "value_mix"), NOT_A_BOOL)],
+    "train": [*(((key,), NOT_A_NUMBER) for key in ("test_fraction", "seed")),
+              (("data", "n_episodes"), NOT_A_NUMBER), *((("data", "synth", key), NOT_A_NUMBER) for key in SYNTH_NUMBERS),
+              (("data", "synth", "value_mix"), NOT_A_BOOL),
+              *((("model", key), NOT_A_NUMBER) for key in ("hidden", "te_dim", "te_max_time")),
+              *((("model", key), NOT_A_LIST) for key in ("head_widths", "mlp_widths")),
+              (("model", "attention"), NOT_AN_OBJECT),
+              *((("features", key), NOT_A_NUMBER) for key in ("window", "bin_width")),
+              *((("train", key), NOT_A_NUMBER) for key in ("lr", "epochs", "batch_size", "weight_decay", "k",
+                                                           "runs_per_fold"))],
+    "sweep": [(("seed",), NOT_A_NUMBER), (("fractions",), NOT_A_LIST)],
+    "encode": [(("dim",), NOT_A_NUMBER), (("max_time",), NOT_A_NUMBER)],
+}
+WRONG_KIND_CASES = st.one_of(*(st.tuples(st.just(command), st.just(slot), values)
+                               for command, slots in WRONG_KINDS.items() for slot, values in slots))
 
 
 def mutations(command):
@@ -159,3 +192,17 @@ def test_sweep_configs_run_or_name_the_problem(run_dir, mutation):
 @example(mutation=(("input",), math.nan))
 def test_encode_configs_run_or_name_the_problem(run_dir, mutation):
     check_command("encode", run_dir, mutation)
+
+
+@settings(max_examples=60)
+@given(case=WRONG_KIND_CASES)
+@example(case=("gen", ("synth", "value_mix"), "no"))
+@example(case=("sweep", ("fractions",), "1"))
+@example(case=("sweep", ("fractions",), {"0.5": 1}))
+@example(case=("train", ("model", "te_dim"), []))
+@example(case=("train", ("model", "te_max_time"), "x"))
+@example(case=("train", ("model", "attention"), []))
+def test_a_value_of_the_wrong_kind_is_a_named_problem(run_dir, case):
+    command, slot, value = case
+    code, stderr = run_config(command, run_dir, (slot, value))
+    assert code == 1 and stderr.startswith("error: config problems:\n  "), (code, stderr)
