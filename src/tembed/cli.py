@@ -15,15 +15,16 @@ Subcommands:
              run file is an error that names the file;
 * ``encode`` append time-embedding columns to a CSV of timestamps.
 
-Every command validates its whole config up front and reports all
-problems at once, refuses to overwrite existing outputs unless --force is
-given, and is deterministic for a fixed config and seed. Each config
-section has one table below, read by ``_util.check_section``: each key
-once, with its default and its check; a dataclass section takes its keys
-and defaults from its fields and leaves the checks to its constructor.
-Flags are merged into the config first, so a flag value is checked as its
-config entry is. The train command runs its fold-by-run grid on a thread
-per CPU the process may use; its outputs do not depend on that count.
+Every command validates its whole config up front, before it reads any
+data, and reports all problems at once, refuses to overwrite existing
+outputs unless --force is given, and is deterministic for a fixed config
+and seed. Each config section has one table below, read by
+``_util.check_section``: each key once, with its default and its check; a
+dataclass section takes its keys and defaults from its fields and leaves
+the checks to its constructor. Flags are merged into the config first, so
+a flag value is checked as its config entry is. The train command runs its
+fold-by-run grid on a thread per CPU the process may use; its outputs do
+not depend on that count.
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ from .dataset import (
     train_test_split,
     write_csv,
 )
-from .encoding import EncoderConfig, te_batch
+from .encoding import EncoderConfig, _check_window, te_batch
 from .models import (
+    _ENCODED_MODES,
     AttentionSpec,
     ModelSpec,
+    _layout,
     alias,
-    init_params,
     load_params,
     model_input_width,
     save_params,
@@ -118,6 +120,14 @@ def _fractions(name: str, values) -> list[float]:
     if not values or not all(0 < v <= 1 for v in values):
         raise ValueError(f"{name} must be one or more numbers in (0, 1], got {values!r}")
     return sorted({float(v) for v in values}, reverse=True)
+
+
+def _number(text: str):
+    """``float(text)``, or ``text`` itself where it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _fold_numbers(name: str, folds) -> list[int]:
@@ -171,15 +181,6 @@ def _refuse_existing(path: str, force: bool) -> None:
         raise CliError(f"{path} already exists; pass --force to overwrite")
 
 
-def _checked(problems: list[str], check, *args, **kwargs):
-    """``check(*args, **kwargs)``, or None after recording the ValueError it raises."""
-    try:
-        return check(*args, **kwargs)
-    except ValueError as exc:
-        problems.append(str(exc))
-        return None
-
-
 def _fail_if(problems: list[str]) -> None:
     if problems:
         raise CliError("config problems:\n  " + "\n  ".join(problems))
@@ -207,39 +208,36 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _model_spec(task, *, te_dim, te_max_time, attention, **entries) -> ModelSpec:
+def _model_spec(task, window, *, te_dim, te_max_time, attention, **entries) -> ModelSpec:
     """The ModelSpec of a model section. The encoder entries are checked whatever the
-    te_mode and the attention entry whatever the family; each is used only where it applies."""
+    te_mode and the attention entry whatever the family; each is used only where it applies.
+    cat_te's encoder must reach the features' window (None: a window that failed its check)."""
     te_cfg = EncoderConfig.temporal(te_dim, te_max_time)
-    return ModelSpec(task=task, te_cfg=te_cfg if entries["te_mode"] in ("cat_te", "add_te") else None,
+    spec = ModelSpec(task=task, te_cfg=te_cfg if entries["te_mode"] in _ENCODED_MODES else None,
                      attention=(attention or AttentionSpec()) if entries["family"] == "sa_lstm" else None,
                      **entries)
+    if spec.te_mode == "cat_te" and window is not None:
+        _check_window(te_cfg, window)
+    return spec
 
 
-def _load_dataset(data: dict, problems: list[str]):
-    """Resolve a checked data section to (episodes, schema) or record problems.
-
-    Either {"dir": ...} / explicit CSV paths, or an inline synthetic
-    source {"synth": {...}, "n_episodes": N}.
-    """
+def _data_files(data: dict, problems: list[str]) -> dict:
+    """The data, labels and schema paths of a checked data section ({} for synth), after
+    recording a problem unless it gives exactly one source and each of its files exists.
+    Nothing is read."""
+    given = [key for key in ("synth", "dir", "data_csv", "labels_csv", "schema") if data[key] is not None]
+    if given not in (["synth"], ["dir"], ["data_csv", "labels_csv", "schema"]):
+        problems.append("data: needs exactly one source, synth with n_episodes, dir, or data_csv, labels_csv and "
+                        f"schema together; got {given or 'none'}")
+        return {}
     if data["synth"] is not None:
-        if _checked(problems, check_int, "data.n_episodes", data["n_episodes"], 1) is None:
-            return None
-        episodes, _ = gen_dataset(data["synth"], data["n_episodes"])
-        return episodes, synth_schema(data["synth"])
-    if data["dir"] is not None:
-        names = {"data_csv": DATA_FILE, "labels_csv": LABELS_FILE, "schema": SCHEMA_FILE}
-        paths = {key: os.path.join(data["dir"], name) for key, name in names.items()}
-    else:
-        paths = {key: data[key] for key in ("data_csv", "labels_csv", "schema")}
-    missing = [name for name, p in paths.items() if p is None or not os.path.exists(p)]
-    if missing:
-        for name in missing:
-            problems.append(f"data.{name}: file not found ({paths[name]})")
-        return None
-    schema = load_schema(paths["schema"])
-    episodes = load_csv(paths["data_csv"], schema, paths["labels_csv"])
-    return episodes, schema
+        if data["n_episodes"] is None:
+            problems.append("data: synth needs n_episodes")
+        return {}
+    names = {"data_csv": DATA_FILE, "labels_csv": LABELS_FILE, "schema": SCHEMA_FILE}
+    paths = {key: data[key] if data["dir"] is None else os.path.join(data["dir"], name) for key, name in names.items()}
+    problems += [f"data.{key}: file not found ({path})" for key, path in paths.items() if not os.path.exists(path)]
+    return paths
 
 
 def _protocol(k, runs_per_fold, **hyper) -> tuple[Hyper, int, int]:
@@ -252,20 +250,23 @@ def cmd_train(args) -> int:
     top = check_section(TOP, config, TRAIN, problems)
     features = check_section("features", config.get("features", {}), FEATURES, problems)
     protocol = check_section("train", config.get("train", {}), PROTOCOL, problems, _protocol)
-    # a bad window is listed already; the model is checked against the default one
+    # a bad window is listed already; the model takes the default one but is not checked against it
     window = features["window"] if features else FEATURES["window"][0]
-    spec = data = loaded = None  # an absent section is listed above, as a missing key
+    spec = data = None  # an absent section is listed above, as a missing key
     if "model" in config:
         spec = check_section("model", config["model"], {**MODEL, "te_max_time": (window, None)}, problems,
-                             partial(_model_spec, config.get("task")))
+                             partial(_model_spec, config.get("task"), window if features else None))
     if "data" in config:
         data = check_section("data", config["data"], DATA, problems)
-    if data is not None:
-        loaded = _load_dataset(data, problems)
+    paths = _data_files(data, problems) if data is not None else {}
     _fail_if(problems)
     _refuse_existing(top["out"], args.force)
 
-    episodes, schema = loaded
+    if data["synth"] is not None:
+        episodes, schema = gen_dataset(data["synth"], data["n_episodes"])[0], synth_schema(data["synth"])
+    else:
+        schema = load_schema(paths["schema"])
+        episodes = load_csv(paths["data_csv"], schema, paths["labels_csv"])
     hyper, k, runs_per_fold = protocol
     task, seed, out_dir = top["task"], top["seed"], top["out"]
     window, bin_width = float(features["window"]), float(features["bin_width"])
@@ -314,15 +315,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _keep_fractions(text: str) -> list[float]:
-    """The --keep-fractions flag, comma-separated numbers in (0, 1]."""
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"--keep-fractions must be comma-separated numbers, got {text!r}") from None
-    return _fractions("--keep-fractions", values)
-
-
 def _load_test_set(run_dir: str, test_ids: list[str]) -> tuple[list, Schema]:
     """The normalized test episodes and schema that `tembed train` saved in
     ``run_dir``, checked against the run's test ids."""
@@ -357,7 +349,7 @@ def _load_selected_params(run_dir: str, experiment: dict, schema: Schema) -> dic
     spec = experiment["spec"]
     features = build_features([], schema, experiment["window"], experiment["bin_width"], spec)
     width = model_input_width(spec, *features.X.shape[1:])
-    needed = {name: arr.shape for name, arr in init_params(spec, width, 0).items()}
+    needed = {name: shape for name, shape, _ in _layout(spec, width)}
     selected: dict[int, dict] = {}
     for f in experiment["selected_folds"]:
         path = os.path.join(run_dir, f"params_fold{f}.npz")
@@ -377,10 +369,11 @@ def _load_selected_params(run_dir: str, experiment: dict, schema: Schema) -> dic
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config, run_dir=args.run_dir, seed=args.seed, out=args.out)
+    # --keep-fractions goes in as a list, each token a number where it parses as one
+    flag = [_number(tok) for tok in args.keep_fractions.split(",") if tok.strip()] if args.keep_fractions else None
+    config = _load_config(args.config, run_dir=args.run_dir, seed=args.seed, out=args.out, fractions=flag)
     problems: list[str] = []
     sweep = check_section(TOP, config, SWEEP, problems)
-    flag_fractions = _checked(problems, _keep_fractions, args.keep_fractions) if args.keep_fractions else None
     _fail_if(problems)
     run_dir = sweep["run_dir"]
     experiment = _read_experiment(run_dir)
@@ -393,7 +386,7 @@ def cmd_sweep(args) -> int:
     selected_params = _load_selected_params(run_dir, experiment, schema)
     rows = sweep_dropout(experiment["spec"], selected_params, test, schema,
                          experiment["window"], experiment["bin_width"],
-                         fractions=flag_fractions or sweep["fractions"], base_seed=seed)
+                         fractions=sweep["fractions"], base_seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(out_path, sweep_to_csv(rows))
     print(f"wrote {len(rows)} rows to {out_path}")

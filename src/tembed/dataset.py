@@ -45,7 +45,7 @@ from ._util import (
     read_npz,
     write_json_document,
 )
-from .encoding import EncoderConfig, te_batch
+from .encoding import EncoderConfig, _check_window, te_batch
 
 HOURS_PER_DAY = 24.0
 
@@ -188,6 +188,28 @@ class IrregularSeries:
         series.episode_id, series.label, series.normalized = episode_id, label, normalized
         series.times, series.channel_idx, series.values = times, channel_idx, values
         return series
+
+
+def _to_columns(series_list: Sequence[IrregularSeries]) -> dict[str, np.ndarray]:
+    """The columnar form of a list of series: ``offsets`` (series i owns observations
+    ``offsets[i]:offsets[i + 1]``), then its ``times``, ``channel_idx`` and ``values``."""
+    columns = {"offsets": np.cumsum([0] + [s.n_obs for s in series_list], dtype=np.int64)}
+    for name in ("times", "channel_idx", "values"):
+        columns[name] = np.concatenate([getattr(s, name) for s in series_list] + [np.empty(0, _EPISODE_DTYPES[name])])
+    return columns
+
+
+def _episode_of(offsets: np.ndarray) -> np.ndarray:
+    """The index of the series that owns each observation of a columnar form."""
+    return np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+
+
+def _to_series(columns: dict[str, np.ndarray], ids, labels, normalized: bool) -> list[IrregularSeries]:
+    """The series of a columnar form whose columns pass every check of IrregularSeries."""
+    times, chans, values = columns["times"], columns["channel_idx"], columns["values"]
+    bounds = columns["offsets"].tolist()
+    return [IrregularSeries._checked(eid, times[a:b], chans[a:b], values[a:b], label, normalized)
+            for eid, label, a, b in zip(ids, labels, bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -437,14 +459,11 @@ def load_csv(data_path: str, schema: Schema, label_path: str | None = None) -> l
     episode, times, chans, values = (np.concatenate(col) for col in zip(*parts))
     episode = rank[episode]
     order = np.lexsort((times, episode))
-    episode, times, chans, values = episode[order], times[order], chans[order], values[order]
-    bounds = np.searchsorted(episode, np.arange(len(ids) + 1)).tolist()
+    columns = {"offsets": np.searchsorted(episode[order], np.arange(len(ids) + 1)),
+               "times": times[order], "channel_idx": chans[order], "values": values[order]}
+    sorted_ids = [ids[j] for j in by_id]
     # the block checks and the sort established everything IrregularSeries checks
-    return [
-        IrregularSeries._checked(ids[j], times[a:b], chans[a:b], values[a:b],
-                                 None if labels is None else labels[ids[j]], False)
-        for j, a, b in zip(by_id, bounds[:-1], bounds[1:])
-    ]
+    return _to_series(columns, sorted_ids, map((labels or {}).get, sorted_ids), False)
 
 
 def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: str,
@@ -458,7 +477,8 @@ def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: st
     ``label_path`` is given.
     """
     names = [spec.name for spec in schema.channels]
-    chans = np.concatenate([ep.channel_idx for ep in episodes] + [np.empty(0, np.int64)]).tolist()
+    columns = _to_columns(episodes)
+    times, chans, values = (columns[name].tolist() for name in ("times", "channel_idx", "values"))
     written = [("channel", names[c]) for c in sorted(set(chans))]
     for what, name in written + [("episode id", ep.episode_id) for ep in episodes]:
         if name.startswith('"') or any(c in name for c in ",\r\n"):
@@ -468,8 +488,6 @@ def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: st
             if ep.label is None:
                 raise ValueError(f"episode {ep.episode_id!r} has no label to write")
     ids = itertools.chain.from_iterable(itertools.repeat(ep.episode_id, ep.n_obs) for ep in episodes)
-    times = np.concatenate([ep.times for ep in episodes] + [np.empty(0)]).tolist()
-    values = np.concatenate([ep.values for ep in episodes] + [np.empty(0)]).tolist()
     rows = map(",".join, zip(ids, map(repr, times), map(names.__getitem__, chans), map(repr, values)))
     atomic_write_text(data_path, "\n".join(itertools.chain([",".join(DATA_HEADER)], rows)) + "\n")
     if label_path is not None:
@@ -483,9 +501,8 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     container; :func:`load_episodes` reads them back bit for bit.
 
     The container holds a ``__meta__`` JSON (format version, schema) and the
-    episodes as columns: ``episode_ids``, ``labels``, ``offsets`` (episode i
-    owns observations ``offsets[i]:offsets[i + 1]``), ``times``,
-    ``channel_idx`` and ``values``.
+    episodes as columns: ``episode_ids``, ``labels`` and their columnar form
+    (``offsets``, ``times``, ``channel_idx`` and ``values``, see ``_to_columns``).
     """
     for ep in episodes:
         if ep.label is None or not ep.normalized:
@@ -497,10 +514,7 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     columns = {
         "episode_ids": ids,
         "labels": np.array([float(ep.label) for ep in episodes], dtype=np.float64),
-        "offsets": np.cumsum([0] + [ep.n_obs for ep in episodes], dtype=np.int64),
-        "times": np.concatenate([ep.times for ep in episodes] + [np.empty(0)]),
-        "channel_idx": np.concatenate([ep.channel_idx for ep in episodes] + [np.empty(0, np.int64)]),
-        "values": np.concatenate([ep.values for ep in episodes] + [np.empty(0)]),
+        **_to_columns(episodes),
     }
     atomic_write_npz(path, meta, columns)
 
@@ -535,7 +549,7 @@ def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
                          f"channels, {values.shape[0]} values")
     if offsets[0] != 0 or offsets[-1] != n_obs or (np.diff(offsets) < 0).any():
         raise ValueError(f"offsets must rise from 0 to the {n_obs} observations")
-    episode_of = np.repeat(np.arange(ids.shape[0]), np.diff(offsets))
+    episode_of = _episode_of(offsets)
     within = episode_of[1:] == episode_of[:-1]
     for problem, bad in (
         ("non-finite or negative time", ~np.isfinite(times) | (times < 0)),
@@ -548,11 +562,8 @@ def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
             raise ValueError(f"episode {str(ids[episode_of[np.argmax(bad)]])!r}: {problem}")
     if not np.isfinite(labels).all():
         raise ValueError(f"episode {str(ids[np.argmax(~np.isfinite(labels))])!r}: non-finite label")
-    bounds, labels = offsets.tolist(), labels.tolist()
     # the checks above established everything IrregularSeries checks
-    series = [IrregularSeries._checked(eid, times[a:b], chans[a:b], values[a:b], label, True)
-              for eid, label, a, b in zip(ids.tolist(), labels, bounds[:-1], bounds[1:])]
-    return series, schema
+    return _to_series(columns, ids.tolist(), labels.tolist(), True), schema
 
 
 def fit_norm(train: Sequence[IrregularSeries], schema: Schema) -> NormStats:
@@ -566,8 +577,8 @@ def fit_norm(train: Sequence[IrregularSeries], schema: Schema) -> NormStats:
     n = schema.n_channels
     mean = np.zeros(n)
     std = np.ones(n)
-    chans = np.concatenate([ep.channel_idx for ep in train] + [np.empty(0, np.int64)])
-    values = np.concatenate([ep.values for ep in train] + [np.empty(0)])
+    columns = _to_columns(train)
+    chans, values = columns["channel_idx"], columns["values"]
     for ch, spec in enumerate(schema.channels):
         if spec.kind != "real":
             continue
@@ -600,14 +611,7 @@ def apply_norm(series: IrregularSeries, stats: NormStats, schema: Schema) -> Irr
     real = np.take(is_real, chans + 1, mode="clip")
     ch = chans[real]
     values[real] = (values[real] - stats.mean[ch]) / stats.std[ch]
-    return IrregularSeries(
-        episode_id=series.episode_id,
-        times=times,
-        channel_idx=chans,
-        values=values,
-        label=series.label,
-        normalized=True,
-    )
+    return replace(series, times=times, channel_idx=chans, values=values, normalized=True)
 
 
 def _steps_for(window: float, bin_width: float) -> int:
@@ -637,10 +641,8 @@ def bin_series(series_list: Sequence[IrregularSeries], schema: Schema, window: f
     series_list = tuple(series_list)
     n, n_ch, steps = len(series_list), schema.n_channels, _steps_for(window, bin_width)
 
-    episode = np.repeat(np.arange(n), [s.n_obs for s in series_list])
-    times = np.concatenate([s.times for s in series_list] + [np.empty(0)])
-    chans = np.concatenate([s.channel_idx for s in series_list] + [np.empty(0, np.int64)])
-    vals = np.concatenate([s.values for s in series_list] + [np.empty(0)])
+    offsets, times, chans, vals = _to_columns(series_list).values()
+    episode = _episode_of(offsets)
     in_window = times < window
     episode, chans, vals = episode[in_window], chans[in_window], vals[in_window]
     bins = np.minimum((times[in_window] / bin_width).astype(np.int64), steps - 1)
@@ -711,11 +713,7 @@ def attach_te(batch: BinnedBatch, cfg: EncoderConfig) -> list[np.ndarray]:
     """
     if cfg.base_kind != "temporal":
         raise ValueError("attach_te needs a temporal encoder config")
-    if cfg.max_time < batch.window:
-        raise ValueError(
-            f"encoder max_time {cfg.max_time:g} is smaller than the window {batch.window:g}; "
-            "observation gaps would alias"
-        )
+    _check_window(cfg, batch.window)
     gaps = batch.D.min(axis=2)
     return [te_batch(gaps.reshape(-1), cfg).reshape(gaps.shape + (cfg.dim,))]
 

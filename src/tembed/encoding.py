@@ -110,6 +110,13 @@ def _warn_if_aliasing(t_max: float, cfg: EncoderConfig) -> None:
         warnings.warn(_ALIAS_MESSAGE, AliasingWarning, stacklevel=3)
 
 
+def _check_window(cfg: EncoderConfig, window: float) -> None:
+    """Refuse a config whose max_time is below ``window``: gaps up to the window would alias."""
+    if cfg.max_time < window:
+        raise ValueError(f"encoder max_time {cfg.max_time:g} is smaller than the window {window:g}; "
+                         "observation gaps would alias")
+
+
 def _encode(times: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     angles = times[:, None] * frequencies(cfg)[None, :]
     out = np.empty((times.shape[0], cfg.dim), dtype=np.float64)

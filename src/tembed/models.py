@@ -36,6 +36,7 @@ here treat them as immutable.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -48,11 +49,13 @@ from .encoding import EncoderConfig
 from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
 FAMILIES = ("linreg", "logreg", "mlp", "lstm", "sa_lstm")
-TE_MODES = ("none", "mask", "cat_te", "add_te")
 TASKS = ("classification", "regression")
 
 _FAMILY_ALIAS = {"linreg": "LinR", "logreg": "LogR", "mlp": "MLP", "lstm": "LSTM", "sa_lstm": "SA-LSTM"}
 _MODE_PREFIX = {"none": "", "mask": "BM+", "cat_te": "catTE+", "add_te": "addTE+"}
+TE_MODES = tuple(_MODE_PREFIX)
+# the input regimes that embed times, and so take an encoder config (te_cfg)
+_ENCODED_MODES = ("cat_te", "add_te")
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -111,10 +114,9 @@ class ModelSpec:
             raise ValueError(f"{self.family} has no hidden state; leave hidden at 0")
         if (self.attention is not None) != (self.family == "sa_lstm"):
             raise ValueError("attention settings are required for sa_lstm and only for sa_lstm")
-        if self.te_mode in ("cat_te", "add_te") and self.te_cfg is None:
-            raise ValueError(f"te_mode {self.te_mode!r} needs a te_cfg")
-        if self.te_mode in ("none", "mask") and self.te_cfg is not None:
-            raise ValueError(f"te_mode {self.te_mode!r} takes no te_cfg")
+        encoded = self.te_mode in _ENCODED_MODES
+        if encoded != (self.te_cfg is not None):
+            raise ValueError(f"te_mode {self.te_mode!r} {'needs a' if encoded else 'takes no'} te_cfg")
         if self.te_mode == "add_te":
             if not self.recurrent:
                 raise ValueError("add_te applies only to lstm and sa_lstm")
@@ -149,12 +151,16 @@ def alias(spec: ModelSpec) -> str:
     return _MODE_PREFIX[spec.te_mode] + _FAMILY_ALIAS[spec.family]
 
 
+def _added_width(spec: ModelSpec) -> int:
+    """The width of the last input columns, add_te's embedding, that go to the
+    hidden states instead of into the LSTM; 0 in every other regime."""
+    return spec.te_cfg.dim if spec.te_mode == "add_te" else 0
+
+
 def model_input_width(spec: ModelSpec, steps: int, per_step_width: int) -> int:
     """The input_dim expected by init/count: per-step width for recurrent
-    families, flattened width for the rest. The add_te embedding columns
-    go to the hidden states, not into the LSTM, so they do not count."""
-    if spec.te_mode == "add_te":
-        per_step_width -= spec.te_cfg.dim
+    families, flattened width for the rest, add_te's embedding columns left out."""
+    per_step_width -= _added_width(spec)
     return per_step_width if spec.recurrent else steps * per_step_width
 
 
@@ -166,21 +172,25 @@ def _dense_layer_names(spec: ModelSpec) -> list[str]:
     return []
 
 
-def _dense_widths(spec: ModelSpec, input_dim: int) -> list[int]:
-    """Widths along the dense chain, from its input to the output layer."""
-    if spec.family in ("linreg", "logreg"):
-        chain_in = input_dim
-        hidden = []
-    elif spec.family == "mlp":
-        chain_in = input_dim
-        hidden = list(spec.mlp_widths)
-    elif spec.family == "lstm":
-        chain_in = spec.hidden
-        hidden = list(spec.head_widths)
-    else:
-        chain_in = spec.attention.r * spec.hidden
-        hidden = list(spec.head_widths)
-    return [chain_in] + hidden + [spec.n_out]
+def _layout(spec: ModelSpec, input_dim: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """Every tensor of the model for ``input_dim`` as (name, shape, fan-in), in the
+    order ``init_params`` draws them: the LSTM, the attention, then the dense chain
+    from its input (the features, the last hidden state or the r pooled ones) to the
+    output layer, whose layers take their input width as fan-in."""
+    h, chain_in, tensors = spec.hidden, input_dim, []
+    if spec.recurrent:
+        tensors += [("lstm.Wx", (input_dim, 4 * h), input_dim), ("lstm.Wh", (h, 4 * h), h),
+                    ("lstm.b", (4 * h,), h)]
+        chain_in = h
+    if spec.family == "sa_lstm":
+        att = spec.attention
+        tensors += [("attn.Ws1", (att.d_a, h), h), ("attn.Ws2", (att.r, att.d_a), att.d_a)]
+        chain_in = att.r * h
+    hidden = spec.mlp_widths if spec.family == "mlp" else spec.head_widths if spec.recurrent else ()
+    widths = [chain_in, *hidden, spec.n_out]
+    for name, a, b in zip(_dense_layer_names(spec) + ["out"], widths[:-1], widths[1:]):
+        tensors += [(f"{name}.W", (a, b), a), (f"{name}.b", (b,), a)]
+    return tensors
 
 
 def init_params(spec: ModelSpec, input_dim: int, rng_seed) -> dict[str, np.ndarray]:
@@ -194,46 +204,21 @@ def init_params(spec: ModelSpec, input_dim: int, rng_seed) -> dict[str, np.ndarr
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
     rng = make_rng(rng_seed)
     params: dict[str, np.ndarray] = {}
-
-    def draw(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    for name, shape, fan_in in _layout(spec, input_dim):
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
+        params[name] = rng.uniform(-bound, bound, size=shape)
     if spec.recurrent:
-        h = spec.hidden
-        params["lstm.Wx"] = draw((input_dim, 4 * h), input_dim)
-        params["lstm.Wh"] = draw((h, 4 * h), h)
-        params["lstm.b"] = draw((4 * h,), h)
-        params["lstm.b"][h : 2 * h] = 1.0
-        if spec.family == "sa_lstm":
-            att = spec.attention
-            params["attn.Ws1"] = draw((att.d_a, h), h)
-            params["attn.Ws2"] = draw((att.r, att.d_a), att.d_a)
-
-    widths = _dense_widths(spec, input_dim)
-    names = _dense_layer_names(spec) + ["out"]
-    for name, a, b in zip(names, widths[:-1], widths[1:]):
-        params[f"{name}.W"] = draw((a, b), a)
-        params[f"{name}.b"] = draw((b,), a)
+        params["lstm.b"][spec.hidden : 2 * spec.hidden] = 1.0
     return params
 
 
 def count_params(spec: ModelSpec, input_dim: int) -> int:
-    """Closed-form parameter count; equals the total ParamSet size.
+    """Parameter count; equals the total ParamSet size.
 
     ``input_dim`` is the flattened width for linreg/logreg/mlp and the
     per-step width for lstm/sa_lstm.
     """
-    total = 0
-    if spec.recurrent:
-        h = spec.hidden
-        total += 4 * (h * (input_dim + h) + h)
-        if spec.family == "sa_lstm":
-            att = spec.attention
-            total += att.d_a * h + att.r * att.d_a
-    widths = _dense_widths(spec, input_dim)
-    total += sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
-    return total
+    return sum(math.prod(shape) for _, shape, _ in _layout(spec, input_dim))
 
 
 def solve_hidden_for_budget(
@@ -449,7 +434,7 @@ def _forward(spec: ModelSpec, params: dict, x: np.ndarray,
     B, T, width = x.shape
     Hp = U = A = logp = None
     if spec.recurrent:
-        split = width - (spec.te_cfg.dim if spec.te_mode == "add_te" else 0)
+        split = width - _added_width(spec)
         if trace is not None:
             trace.x = x[..., :split]
         H = _lstm_forward(params, x[..., :split], trace)

@@ -266,7 +266,8 @@ class TestSweep:
         with open(os.path.join(out, "sweep.csv"), "w") as fh:
             fh.write("kept\n")
         loads = []
-        monkeypatch.setattr(cli, "_load_dataset", lambda *a: loads.append("data"))
+        monkeypatch.setattr(cli, "load_csv", lambda *a: loads.append("data"))
+        monkeypatch.setattr(cli, "gen_dataset", lambda *a: loads.append("data"))
         monkeypatch.setattr(cli, "load_episodes", lambda *a: loads.append("test set"))
         monkeypatch.setattr(cli, "load_params", lambda *a: loads.append("params"))
         code, _, stderr = run(
@@ -407,6 +408,19 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
     ("train", {"out": ""}, ["top level: out must be a path string, got ''"], 1),
     ("encode", {"out": ""}, ["top level: out must be a path string, got ''"], 1),
     ("train", {"test_fraction": 1}, ["test_fraction must be a finite number > 0 and < 1, got 1"], 1),
+    ("train", {"data": {"dir": "bench", "synth": SYNTH, "n_episodes": 28, "data_csv": "nowhere.csv"}},
+     ["data: needs exactly one source, synth with n_episodes, dir, or data_csv, labels_csv and schema together; "
+      "got ['synth', 'dir', 'data_csv']"], 1),
+    ("train", {"data": {"dir": "bench", "schema": "schema.json"}}, ["got ['dir', 'schema']"], 1),
+    ("train", {"data": {}}, ["data: needs exactly one source, synth with n_episodes, dir, or data_csv, labels_csv "
+                             "and schema together; got none"], 1),
+    ("train", {"data": {"data_csv": "data.csv", "schema": "schema.json"}}, ["got ['data_csv', 'schema']"], 1),
+    ("train", {"data": {"synth": SYNTH}}, ["data: synth needs n_episodes"], 1),
+    ("train", {"model": dict(CAT_TE_LSTM, te_max_time=10)},
+     ["model: encoder max_time 10 is smaller than the window 12; observation gaps would alias"], 1),
+    ("train", {"model": dict(CAT_TE_LSTM, te_max_time=10, hidden=4.5)},
+     ["model: hidden must be an integer >= 1, got 4.5"], 1),
+    ("train", {"model": dict(CAT_TE_LSTM, te_max_time=10), "features": {"window": "abc"}}, ["features.window"], 1),
 ], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
         "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers",
         "hidden-float", "hidden-bool", "head-width-float", "attention-r-float", "penalty-c-nan",
@@ -418,7 +432,9 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
         "train-out-int", "sweep-out-int", "encode-out-int", "run-dir-int", "data-dir-int", "data-csv-int",
         "value-mix-str", "fractions-str", "fractions-object", "unused-te-dim-list", "unused-te-max-time-str",
         "unused-attention-list", "unused-model-entries", "gen-out-empty", "train-out-empty", "encode-out-empty",
-        "test-fraction-one"])
+        "test-fraction-one", "several-sources", "dir-and-csv-path", "no-source", "csv-paths-incomplete",
+        "synth-without-count", "te-max-time-below-window", "te-max-time-below-window-bad-hidden",
+        "te-max-time-bad-window"])
 def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
     base = {"train": TRAIN_CONFIG, "gen": {"synth": SYNTH, "n_episodes": 5}, "sweep": {"run_dir": run_dir},
             "encode": {"input": str(tmp_path / "times.csv"), "max_time": 48.0}}[command]
@@ -430,6 +446,24 @@ def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, conf
         assert message in stderr
     problem_lines = [line for line in stderr.splitlines() if line.startswith("  ")]
     assert len(problem_lines) == n_problems, stderr
+
+
+@pytest.mark.parametrize("source", ["synth", "dir"])
+def test_config_problem_loads_no_data(tmp_path, capsys, monkeypatch, source):
+    data = {"synth": SYNTH, "n_episodes": 28}
+    if source == "dir":
+        data = {"dir": str(tmp_path / "data")}
+        gen = {"synth": SYNTH, "n_episodes": 28, "out": data["dir"]}
+        assert run(["gen", "--config", write_config(tmp_path, gen, "gen.json")], capsys)[0] == 0
+    loads = []
+    monkeypatch.setattr(cli, "load_csv", lambda *a: loads.append("csv"))
+    monkeypatch.setattr(cli, "gen_dataset", lambda *a: loads.append("synth"))
+    cfg = write_config(tmp_path, dict(TRAIN_CONFIG, data=data, model={"family": "lstm", "hidden": 4.5},
+                                      out=str(tmp_path / "o")))
+    code, _, stderr = run(["train", "--config", cfg], capsys)
+    assert code == 1
+    assert "model: hidden must be an integer >= 1, got 4.5" in stderr
+    assert loads == []
 
 
 @pytest.mark.parametrize("name", ["data.csv", "labels.csv"])

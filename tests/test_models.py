@@ -162,6 +162,16 @@ class TestInitAndCount:
         head = (3 * 2 + 2) + (2 * 2 + 2)
         assert got == lstm + head
 
+    def test_attention_and_mlp_formulas(self):
+        # sa_lstm: the LSTM, Ws1 (d_a x h) and Ws2 (r x d_a), then a head fed r * h pooled values
+        spec = spec_of("sa_lstm", hidden=3, head_widths=(2,), attention=AttentionSpec(d_a=4, r=2))
+        lstm = 4 * (3 * (5 + 3) + 3)
+        attention = 4 * 3 + 2 * 4
+        head = (2 * 3 * 2 + 2) + (2 * 2 + 2)
+        assert count_params(spec, 5) == lstm + attention + head
+        mlp = spec_of("mlp", task="regression", mlp_widths=(4, 3))
+        assert count_params(mlp, 6) == (6 * 4 + 4) + (4 * 3 + 3) + (3 * 1 + 1)
+
 
 class TestBudgetSolver:
     def test_result_is_maximal_under_budget(self):

@@ -291,7 +291,7 @@ def test_sweep_reads_no_training_data(runs, tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the sweep loaded the training data")
 
-    for name in ("_load_dataset", "load_csv", "gen_dataset", "apply_norm"):
+    for name in ("load_csv", "gen_dataset", "apply_norm"):
         monkeypatch.setattr(cli, name, refuse)
     out = str(tmp_path / "out")
     assert main(["sweep", "--run-dir", runs["synth"], "--keep-fractions", "1.0", "--out", out]) == 0
