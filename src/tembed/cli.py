@@ -211,13 +211,13 @@ def cmd_gen(args) -> int:
 def _model_spec(task, window, *, te_dim, te_max_time, attention, **entries) -> ModelSpec:
     """The ModelSpec of a model section. The encoder entries are checked whatever the
     te_mode and the attention entry whatever the family; each is used only where it applies.
-    cat_te's encoder must reach the features' window (None: a window that failed its check)."""
+    Both embedding regimes' encoders must reach the features' window (None: a window that failed its check)."""
     te_cfg = EncoderConfig.temporal(te_dim, te_max_time)
     spec = ModelSpec(task=task, te_cfg=te_cfg if entries["te_mode"] in _ENCODED_MODES else None,
                      attention=(attention or AttentionSpec()) if entries["family"] == "sa_lstm" else None,
                      **entries)
-    if spec.te_mode == "cat_te" and window is not None:
-        _check_window(te_cfg, window)
+    if spec.te_cfg is not None and window is not None:
+        _check_window(spec.te_cfg, window)
     return spec
 
 

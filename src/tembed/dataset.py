@@ -726,8 +726,6 @@ def drop_observations(series: IrregularSeries, keep_fraction: float, rng_seed) -
     """
     if not (0 < keep_fraction <= 1):
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    if keep_fraction == 1.0:
-        return replace(series)
     keep = make_rng(rng_seed).random(series.n_obs) < keep_fraction
     # a subset of a valid series is valid
     return IrregularSeries._checked(series.episode_id, series.times[keep],

@@ -129,17 +129,9 @@ def te(time: float, cfg: EncoderConfig) -> np.ndarray:
     """Encode one continuous timestamp under a temporal config.
 
     ``time`` must be finite and >= 0; values beyond ``max_time`` alias and
-    trigger a one-time AliasingWarning.
+    trigger a one-time AliasingWarning. This is row 0 of ``te_batch``.
     """
-    if cfg.base_kind != "temporal":
-        raise ValueError("te() requires a temporal config; use pe() for positional ones")
-    t = float(time)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {time!r}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {time!r}")
-    _warn_if_aliasing(t, cfg)
-    return _encode(np.array([t], dtype=np.float64), cfg)[0]
+    return te_batch(np.array([float(time)]), cfg)[0]
 
 
 def pe(pos: int, cfg: EncoderConfig) -> np.ndarray:

@@ -20,9 +20,8 @@ linear unit clamped at zero. The self-attentive pooling computes
 A = rowsoftmax(Ws2 . tanh(Ws1 . H^T)) and penalizes the loss with
 c * ||A A^T - I||_F^2 so the r attention rows stay diverse.
 
-``forward`` accepts one episode (steps x features) or a batch
-(batch x steps x features); ``loss`` and ``backward`` mirror that, with
-batch losses averaged. Gradients are exact reverse-mode derivatives of
+``forward`` takes a batch (batch x steps x features), and ``loss`` averages
+over it. Gradients are exact reverse-mode derivatives of
 ``loss``, verified against central finite differences in the test suite.
 ``backward`` consumes the trace: the LSTM gate gradients overwrite its gate
 buffer. ``predict`` returns what ``forward`` returns without its trace: it
@@ -260,7 +259,7 @@ class ForwardTrace:
     """Activations cached by forward for the exact backward pass. The LSTM
     buffers are time-major: ``gates`` holds i, f, g, o side by side as
     (steps, batch, 4h), ``cells``/``tanh_cells`` are (steps, batch, h); ``H``
-    is (batch, steps, h)."""
+    is (batch, steps, h). ``out`` is the output ``forward`` returns."""
 
     spec: ModelSpec
     x: np.ndarray
@@ -275,8 +274,7 @@ class ForwardTrace:
     dense_pre: list[np.ndarray] = field(default_factory=list)
     z_out: np.ndarray | None = None
     logp: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    yhat: np.ndarray | None = None
+    out: np.ndarray | None = None
 
 
 def _check_finite(arr: np.ndarray, layer: str) -> None:
@@ -415,16 +413,12 @@ def _dense_backward(spec: ModelSpec, params: dict, trace: ForwardTrace, dz_out: 
     return dz
 
 
-def _as_batch(features) -> tuple[np.ndarray, bool]:
-    """(batch, steps, width) float64 features, and whether the caller passed
-    one (steps, width) episode."""
+def _as_batch(features) -> np.ndarray:
+    """(batch, steps, width) float64 features."""
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
     if x.ndim != 3:
-        raise ValueError(f"features must be (steps, width) or (batch, steps, width), got {x.shape}")
-    return x, single
+        raise ValueError(f"features must be (batch, steps, width), got {x.shape}")
+    return x
 
 
 def _forward(spec: ModelSpec, params: dict, x: np.ndarray,
@@ -463,11 +457,7 @@ def _forward(spec: ModelSpec, params: dict, x: np.ndarray,
     else:
         out = np.maximum(z[:, 0], 0.0)
     if trace is not None:
-        trace.Hp, trace.U, trace.A, trace.z_out, trace.logp = Hp, U, A, z, logp
-        if spec.task == "classification":
-            trace.probs = out
-        else:
-            trace.yhat = out
+        trace.Hp, trace.U, trace.A, trace.z_out, trace.logp, trace.out = Hp, U, A, z, logp, out
     return out
 
 
@@ -475,15 +465,14 @@ def forward(spec: ModelSpec, params: dict, features):
     """Run the model; returns (output, trace).
 
     Output is class probabilities (classification) or a non-negative
-    prediction (regression). ``features`` may be (steps, width) for one
-    episode or (batch, steps, width). In add_te mode their last
-    ``te_cfg.dim`` columns are added to the LSTM hidden states, and the
-    LSTM and the trace's ``x`` hold only the columns before them.
+    prediction (regression). ``features`` are (batch, steps, width). In
+    add_te mode their last ``te_cfg.dim`` columns are added to the LSTM
+    hidden states, and the LSTM and the trace's ``x`` hold only the columns
+    before them.
     """
-    x, single = _as_batch(features)
+    x = _as_batch(features)
     trace = ForwardTrace(spec=spec, x=x)
-    out = _forward(spec, params, x, trace)
-    return (out[0] if single else out), trace
+    return _forward(spec, params, x, trace), trace
 
 
 def _usable_cpus() -> int:
@@ -554,17 +543,21 @@ def predict(spec: ModelSpec, params: dict, features, rows=None) -> np.ndarray:
     results are joined in row order; when blocks fail, the first one in row
     order raises.
     """
-    x, single = _as_batch(features)
+    x = _as_batch(features)
 
     def run(block: tuple[int, int]) -> np.ndarray:
         a, b = block
         return _forward(spec, params, x[a:b] if rows is None else x[rows[a:b]], None)
 
-    out = np.concatenate(fan_out(run, row_blocks(len(x) if rows is None else len(rows))))
-    return out[0] if single else out
+    return np.concatenate(fan_out(run, row_blocks(len(x) if rows is None else len(rows))))
 
 
-def _as_target_array(spec: ModelSpec, target, batch: int) -> np.ndarray:
+def _targets(spec: ModelSpec, trace: ForwardTrace, target) -> np.ndarray:
+    """The checked float64 targets for ``trace``'s batch, after refusing a
+    trace that ``spec`` did not produce."""
+    if trace.spec is not spec and trace.spec != spec:
+        raise ValueError("trace was produced by a different model spec")
+    batch = trace.x.shape[0]
     t = np.asarray(target, dtype=np.float64).ravel()
     if t.shape[0] != batch:
         raise ValueError(f"{batch} outputs but {t.shape[0]} targets")
@@ -583,17 +576,14 @@ def attention_penalty(A: np.ndarray, c: float) -> np.ndarray:
     return c * (G ** 2).sum(axis=(1, 2))
 
 
-def loss(spec: ModelSpec, output, target, trace: ForwardTrace) -> float:
+def loss(spec: ModelSpec, trace: ForwardTrace, target) -> float:
     """Mean objective over the batch: cross-entropy or squared error, plus
     the attention diversity penalty for sa_lstm."""
-    if trace.spec is not spec and trace.spec != spec:
-        raise ValueError("trace was produced by a different model spec")
-    B = trace.x.shape[0]
-    t = _as_target_array(spec, target, B)
+    t = _targets(spec, trace, target)
     if spec.task == "classification":
-        task_loss = -trace.logp[np.arange(B), t.astype(np.int64)].mean()
+        task_loss = -trace.logp[np.arange(len(t)), t.astype(np.int64)].mean()
     else:
-        task_loss = ((trace.yhat - t) ** 2).mean()
+        task_loss = ((trace.out - t) ** 2).mean()
     total = float(task_loss)
     if spec.family == "sa_lstm":
         total += float(attention_penalty(trace.A, spec.attention.penalty_c).mean())
@@ -605,18 +595,16 @@ def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target) -> dict
 
     Consumes the trace: the LSTM families write their gate gradients over
     ``trace.gates``, so a second backward of the same trace is wrong."""
-    if trace.spec is not spec and trace.spec != spec:
-        raise ValueError("trace was produced by a different model spec")
-    B = trace.x.shape[0]
-    t = _as_target_array(spec, target, B)
+    t = _targets(spec, trace, target)
+    B = len(t)
     grads: dict[str, np.ndarray] = {}
 
     if spec.task == "classification":
-        dz = trace.probs.copy()
+        dz = trace.out.copy()
         dz[np.arange(B), t.astype(np.int64)] -= 1.0
         dz *= 1.0 / B
     else:
-        dyhat = 2.0 * (trace.yhat - t) / B
+        dyhat = 2.0 * (trace.out - t) / B
         dz = (dyhat * (trace.z_out[:, 0] > 0))[:, None]
 
     dfeed = _dense_backward(spec, params, trace, dz, grads)
@@ -651,18 +639,13 @@ def zeros_like_params(params: dict) -> dict:
     return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
-def clone_params(params: dict) -> dict:
-    return {name: arr.copy() for name, arr in params.items()}
-
-
-def save_params(path: str, params: dict, spec: ModelSpec | None = None) -> None:
+def save_params(path: str, params: dict, spec: ModelSpec) -> None:
     """Serialize named tensors plus a JSON shape manifest; bit-exact round-trip."""
     meta = {
         "format_version": PARAMS_FORMAT_VERSION,
         "tensors": {name: list(arr.shape) for name, arr in sorted(params.items())},
+        "model_spec": spec.to_dict(),
     }
-    if spec is not None:
-        meta["model_spec"] = spec.to_dict()
     atomic_write_npz(path, meta, params)
 
 

@@ -62,7 +62,6 @@ from .models import (
     NumericError,
     alias,
     backward,
-    clone_params,
     fan_out,
     forward,
     init_params,
@@ -74,6 +73,8 @@ from .models import (
 )
 
 _FOLD_SALT = 0xF01D
+# the optimizer's moment decays and denominator guard (b1, b2 and eps above)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -108,17 +109,12 @@ class OptState:
     vmax: dict
     t: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
 
 
-def init_opt_state(params: dict, lr: float, weight_decay: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptState:
+def init_opt_state(params: dict, lr: float, weight_decay: float) -> OptState:
     return OptState(m=zeros_like_params(params), v=zeros_like_params(params),
-                    vmax=zeros_like_params(params), t=0, lr=lr, beta1=beta1, beta2=beta2,
-                    eps=eps, weight_decay=weight_decay)
+                    vmax=zeros_like_params(params), t=0, lr=lr, weight_decay=weight_decay)
 
 
 def opt_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptState]:
@@ -129,15 +125,15 @@ def opt_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptState
         if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient for {name!r}")
     t = state.t + 1
-    b1c = 1.0 - state.beta1 ** t
-    b2c = 1.0 - state.beta2 ** t
+    b1c = 1.0 - _BETA1 ** t
+    b2c = 1.0 - _BETA2 ** t
     new_params, new_m, new_v, new_vmax = {}, {}, {}, {}
     for name, theta in params.items():
         g = grads[name]
-        new_m[name] = m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        new_v[name] = v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        new_m[name] = m = _BETA1 * state.m[name] + (1.0 - _BETA1) * g
+        new_v[name] = v = _BETA2 * state.v[name] + (1.0 - _BETA2) * g * g
         new_vmax[name] = vmax = np.maximum(state.vmax[name], v)
-        step = state.lr * (m / b1c) / (np.sqrt(vmax / b2c) + state.eps)
+        step = state.lr * (m / b1c) / (np.sqrt(vmax / b2c) + _EPS)
         new_params[name] = theta * (1.0 - state.lr * state.weight_decay) - step
     return new_params, replace(state, m=new_m, v=new_v, vmax=new_vmax, t=t)
 
@@ -283,7 +279,9 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
     params = init_params(spec, model_input_width(spec, steps, width), entropy + [0])
     rng = make_rng(entropy + [1])
 
-    best = TrainResult(params=clone_params(params), history=[])
+    # opt_step writes new arrays and never into its inputs, so the parameters
+    # of the best epoch are kept without a copy
+    best = TrainResult(params=params, history=[])
     state = init_opt_state(params, lr=hyper.lr, weight_decay=hyper.weight_decay)
     where = "before the first epoch"
     try:
@@ -296,21 +294,21 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
                 idx = perm[start : start + hyper.batch_size]
                 xb = train_data.batch(idx)
                 yb = train_data.y[idx]
-                out, trace = forward(spec, params, xb)
-                batch_loss = loss(spec, out, yb, trace)
+                trace = forward(spec, params, xb)[1]
+                batch_loss = loss(spec, trace, yb)
                 if not np.isfinite(batch_loss):
                     raise DivergenceError("non-finite loss")
                 grads = backward(spec, params, trace, yb)
                 params, state = opt_step(params, grads, state)
                 total += batch_loss * len(idx)
-                del out, trace, grads, xb  # freed before the next forward, not after it
+                del trace, grads, xb  # freed before the next forward, not after it
             train_loss = total / train_data.n
             where = f"at epoch {epoch}, in validation"
             val = _val_metric(spec, params, val_data)
             best.history.append({"epoch": epoch, "train_loss": float(train_loss), "val_metric": float(val)})
             if _is_better(spec.task, val, best.best_val):
                 best.best_val = float(val)
-                best.params = clone_params(params)
+                best.params = params
     except NumericError as exc:
         raise DivergenceError(f"numeric overflow {where}: {exc}") from exc
     except DivergenceError as exc:  # the loss check above or opt_step's gradient check

@@ -20,7 +20,6 @@ from tembed.models import (
     AttentionSpec,
     ModelSpec,
     backward,
-    clone_params,
     count_params,
     forward,
     init_params,
@@ -156,7 +155,7 @@ def test_criterion_04_gradient_correctness():
 
             def loss_at(p):
                 out, trace = forward(spec, p, x)
-                return loss(spec, out, y, trace)
+                return loss(spec, trace, y)
 
             _, trace = forward(spec, params, x)
             grads = backward(spec, params, trace, y)
@@ -164,7 +163,7 @@ def test_criterion_04_gradient_correctness():
                 flat = params[name].reshape(-1)
                 gflat = grads[name].reshape(-1)
                 for i in range(flat.size):
-                    bumped = clone_params(params)
+                    bumped = {key: arr.copy() for key, arr in params.items()}
                     view = bumped[name].reshape(-1)
                     view[i] = flat[i] + eps
                     up = loss_at(bumped)
@@ -415,7 +414,7 @@ def test_criterion_10_optimizer_sanity():
     params = {"w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
     grads = {name: rng.normal(size=arr.shape) for name, arr in params.items()}
     lr, wd, eps = 2e-3, 1e-2, 1e-8
-    stepped, _ = opt_step(params, grads, init_opt_state(params, lr=lr, weight_decay=wd, eps=eps))
+    stepped, _ = opt_step(params, grads, init_opt_state(params, lr=lr, weight_decay=wd))
     closed_err = max(
         float(np.abs(stepped[name]
                      - (params[name] * (1 - lr * wd) - lr * g / (np.abs(g) + eps))).max())

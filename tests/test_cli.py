@@ -421,6 +421,9 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
     ("train", {"model": dict(CAT_TE_LSTM, te_max_time=10, hidden=4.5)},
      ["model: hidden must be an integer >= 1, got 4.5"], 1),
     ("train", {"model": dict(CAT_TE_LSTM, te_max_time=10), "features": {"window": "abc"}}, ["features.window"], 1),
+    ("train", {"model": {"family": "lstm", "hidden": 4, "te_mode": "add_te", "te_dim": 4, "te_max_time": 5},
+               "features": {"window": 12.0, "bin_width": 2.0}},
+     ["model: encoder max_time 5 is smaller than the window 12; observation gaps would alias"], 1),
 ], ids=["window-null", "window-null-cat-te", "window-not-a-number", "te-max-time-null",
         "epochs-float", "lr-bool", "sweep-seed-float", "fractions-empty", "fractions-not-numbers",
         "hidden-float", "hidden-bool", "head-width-float", "attention-r-float", "penalty-c-nan",
@@ -434,7 +437,7 @@ SA_LSTM = {"family": "sa_lstm", "hidden": 4}
         "unused-attention-list", "unused-model-entries", "gen-out-empty", "train-out-empty", "encode-out-empty",
         "test-fraction-one", "several-sources", "dir-and-csv-path", "no-source", "csv-paths-incomplete",
         "synth-without-count", "te-max-time-below-window", "te-max-time-below-window-bad-hidden",
-        "te-max-time-bad-window"])
+        "te-max-time-bad-window", "add-te-max-time-below-window"])
 def test_bad_config_values_are_reported(run_dir, tmp_path, capsys, command, config, messages, n_problems):
     base = {"train": TRAIN_CONFIG, "gen": {"synth": SYNTH, "n_episodes": 5}, "sweep": {"run_dir": run_dir},
             "encode": {"input": str(tmp_path / "times.csv"), "max_time": 48.0}}[command]

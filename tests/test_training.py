@@ -104,7 +104,7 @@ class TestOptimizer:
         params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
         grads = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
         lr, wd, eps = 2e-3, 1e-2, 1e-8
-        state = init_opt_state(params, lr=lr, weight_decay=wd, eps=eps)
+        state = init_opt_state(params, lr=lr, weight_decay=wd)
         new, state1 = opt_step(params, grads, state)
         for name in params:
             g = grads[name]
@@ -265,6 +265,26 @@ class TestTrainOne:
         result = train_one(LOGREG, train, val, Hyper(epochs=6, batch_size=7), seed=1)
         seen = [row["val_metric"] for row in result.history]
         assert result.best_val >= max(seen) or result.best_val == pytest.approx(max(seen))
+
+    def test_returns_the_best_epochs_params_bit_for_bit(self, pool_and_test):
+        # the best epoch (3 of 0-5) is not the last one: the parameters come
+        # back as training left them after it, and later epochs do not leak in
+        pool, _ = pool_and_test
+        data = prepare(pool, "classification")
+        tr, va = two_class_split(data)
+        train, val = data.take(tr), data.take(va)
+        hyper = Hyper(lr=1e-2, epochs=6, batch_size=7)
+        result = train_one(LOGREG, train, val, hyper, seed=2)
+        best = [row["val_metric"] for row in result.history].index(result.best_val)
+        assert best < hyper.epochs - 1
+        initial = train_one(LOGREG, train, val, dataclasses.replace(hyper, epochs=0), seed=2)
+        assert initial.best_val < result.best_val  # an epoch, not the initialization, is the best
+        assert any(not np.array_equal(arr, initial.params[name]) for name, arr in result.params.items())
+        stopped = train_one(LOGREG, train, val, dataclasses.replace(hyper, epochs=best + 1), seed=2)
+        assert stopped.best_val == result.best_val
+        assert set(stopped.params) == set(result.params)
+        for name, arr in result.params.items():
+            npt.assert_array_equal(arr, stopped.params[name])
 
     def test_zero_epochs_returns_initial_params(self, pool_and_test):
         pool, _ = pool_and_test
