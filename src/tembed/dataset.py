@@ -47,8 +47,6 @@ from ._util import (
 )
 from .encoding import EncoderConfig, _check_window, te_batch
 
-HOURS_PER_DAY = 24.0
-
 DATA_HEADER = ["episode_id", "time_hours", "channel", "value"]
 LABEL_HEADER = ["episode_id", "label"]
 
@@ -525,9 +523,10 @@ def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
 
     The container comes from outside the program, so its meta, the dtype and
     shape of every column, the offsets, and the times (finite, >= 0 and
-    sorted within each episode), channels (inside the schema), values and
-    labels (finite) are checked in whole-column passes before any series is
-    built; a problem raises ``ValueError``.
+    sorted within each episode), channels (inside the schema), values
+    (finite, and valid codes on categorical channels) and labels (finite) are
+    checked in whole-column passes before any series is built; a problem
+    raises ``ValueError``.
     """
     meta, columns = read_npz(path, "episode", EPISODES_FORMAT_VERSION)
     names = sorted(f"{name}.npy" for name in ("__meta__", *columns))
@@ -560,6 +559,7 @@ def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
     ):
         if bad.any():
             raise ValueError(f"episode {str(ids[episode_of[np.argmax(bad)]])!r}: {problem}")
+    _check_codes(chans, values, schema, lambda i: f"episode {str(ids[episode_of[i]])!r}")
     if not np.isfinite(labels).all():
         raise ValueError(f"episode {str(ids[np.argmax(~np.isfinite(labels))])!r}: non-finite label")
     # the checks above established everything IrregularSeries checks
@@ -808,17 +808,3 @@ def train_test_split(
     pool = [ep for i, ep in enumerate(episodes) if i not in test_idx]
     test = [ep for i, ep in enumerate(episodes) if i in test_idx]
     return pool, test
-
-
-def label_convert(value, direction: str):
-    """Convert labels between hours and days (divide or multiply by 24)."""
-    arr = np.asarray(value, dtype=np.float64)
-    if (arr < 0).any():
-        raise ValueError("labels must be >= 0")
-    if direction == "to_days":
-        out = arr / HOURS_PER_DAY
-    elif direction == "to_hours":
-        out = arr * HOURS_PER_DAY
-    else:
-        raise ValueError(f"direction must be 'to_days' or 'to_hours', got {direction!r}")
-    return float(out) if np.isscalar(value) or arr.ndim == 0 else out

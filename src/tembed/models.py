@@ -16,14 +16,16 @@ head). Time information enters through one of four input regimes:
   requires the embedding dimension to equal the hidden size.
 
 Classification heads end in a 2-way softmax, regression heads in a single
-linear unit clamped at zero. The self-attentive pooling computes
+linear unit clamped at zero, whose bias ``training.train_one`` starts at the
+mean training label. The self-attentive pooling computes
 A = rowsoftmax(Ws2 . tanh(Ws1 . H^T)) and penalizes the loss with
 c * ||A A^T - I||_F^2 so the r attention rows stay diverse.
 
-``forward`` takes a batch (batch x steps x features), and ``loss`` averages
-over it. Gradients are exact reverse-mode derivatives of
-``loss``, verified against central finite differences in the test suite.
-``backward`` consumes the trace: the LSTM gate gradients overwrite its gate
+``forward`` takes a batch (batch x steps x features). ``loss(trace, target)``
+checks the targets once, leaves them on the trace and averages over the
+batch; ``backward(params, trace)`` takes them off and gives that loss's exact
+reverse-mode derivatives, verified against central finite differences in the
+test suite. It consumes the trace: the LSTM gate gradients overwrite its gate
 buffer. ``predict`` returns what ``forward`` returns without its trace: it
 runs blocks of rows on a thread per usable CPU through ``fan_out``, and
 without a trace the LSTM keeps one step of its gate and cell buffers
@@ -259,7 +261,8 @@ class ForwardTrace:
     """Activations cached by forward for the exact backward pass. The LSTM
     buffers are time-major: ``gates`` holds i, f, g, o side by side as
     (steps, batch, 4h), ``cells``/``tanh_cells`` are (steps, batch, h); ``H``
-    is (batch, steps, h). ``out`` is the output ``forward`` returns."""
+    is (batch, steps, h). ``out`` is the output ``forward`` returns, ``target``
+    the checked targets ``loss`` leaves for ``backward``."""
 
     spec: ModelSpec
     x: np.ndarray
@@ -272,9 +275,9 @@ class ForwardTrace:
     A: np.ndarray | None = None
     dense_inputs: list[np.ndarray] = field(default_factory=list)
     dense_pre: list[np.ndarray] = field(default_factory=list)
-    z_out: np.ndarray | None = None
     logp: np.ndarray | None = None
     out: np.ndarray | None = None
+    target: np.ndarray | None = None
 
 
 def _check_finite(arr: np.ndarray, layer: str) -> None:
@@ -457,7 +460,7 @@ def _forward(spec: ModelSpec, params: dict, x: np.ndarray,
     else:
         out = np.maximum(z[:, 0], 0.0)
     if trace is not None:
-        trace.Hp, trace.U, trace.A, trace.z_out, trace.logp, trace.out = Hp, U, A, z, logp, out
+        trace.Hp, trace.U, trace.A, trace.logp, trace.out = Hp, U, A, logp, out
     return out
 
 
@@ -552,23 +555,6 @@ def predict(spec: ModelSpec, params: dict, features, rows=None) -> np.ndarray:
     return np.concatenate(fan_out(run, row_blocks(len(x) if rows is None else len(rows))))
 
 
-def _targets(spec: ModelSpec, trace: ForwardTrace, target) -> np.ndarray:
-    """The checked float64 targets for ``trace``'s batch, after refusing a
-    trace that ``spec`` did not produce."""
-    if trace.spec is not spec and trace.spec != spec:
-        raise ValueError("trace was produced by a different model spec")
-    batch = trace.x.shape[0]
-    t = np.asarray(target, dtype=np.float64).ravel()
-    if t.shape[0] != batch:
-        raise ValueError(f"{batch} outputs but {t.shape[0]} targets")
-    if spec.task == "classification":
-        if not np.isin(t, (0.0, 1.0)).all():
-            raise ValueError("classification targets must be class indices 0 or 1")
-    elif not np.isfinite(t).all():
-        raise ValueError("regression targets must be finite")
-    return t
-
-
 def attention_penalty(A: np.ndarray, c: float) -> np.ndarray:
     """Per-example c * ||A A^T - I||_F^2 for A of shape (batch, r, steps)."""
     r = A.shape[1]
@@ -576,26 +562,37 @@ def attention_penalty(A: np.ndarray, c: float) -> np.ndarray:
     return c * (G ** 2).sum(axis=(1, 2))
 
 
-def loss(spec: ModelSpec, trace: ForwardTrace, target) -> float:
-    """Mean objective over the batch: cross-entropy or squared error, plus
-    the attention diversity penalty for sa_lstm."""
-    t = _targets(spec, trace, target)
+def loss(trace: ForwardTrace, target) -> float:
+    """Mean objective over the batch (cross-entropy or squared error, plus
+    sa_lstm's attention penalty); keeps the checked targets for ``backward``."""
+    spec, batch = trace.spec, trace.x.shape[0]
+    t = np.asarray(target, dtype=np.float64).ravel()
+    if t.shape[0] != batch:
+        raise ValueError(f"{batch} outputs but {t.shape[0]} targets")
     if spec.task == "classification":
+        if not np.isin(t, (0.0, 1.0)).all():
+            raise ValueError("classification targets must be class indices 0 or 1")
         task_loss = -trace.logp[np.arange(len(t)), t.astype(np.int64)].mean()
     else:
+        if not np.isfinite(t).all():
+            raise ValueError("regression targets must be finite")
         task_loss = ((trace.out - t) ** 2).mean()
+    trace.target = t
     total = float(task_loss)
     if spec.family == "sa_lstm":
         total += float(attention_penalty(trace.A, spec.attention.penalty_c).mean())
     return total
 
 
-def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target) -> dict:
-    """Exact gradients of the loss with respect to every parameter.
+def backward(params: dict, trace: ForwardTrace) -> dict:
+    """Exact gradients of the loss taken on ``trace`` for every parameter.
 
-    Consumes the trace: the LSTM families write their gate gradients over
-    ``trace.gates``, so a second backward of the same trace is wrong."""
-    t = _targets(spec, trace, target)
+    Consumes the trace: it takes the targets off, and the LSTM families write
+    their gate gradients over ``trace.gates``; with no loss taken, it raises."""
+    spec, t = trace.spec, trace.target
+    if t is None:
+        raise ValueError("backward needs a loss taken on the trace since its last backward")
+    trace.target = None
     B = len(t)
     grads: dict[str, np.ndarray] = {}
 
@@ -605,7 +602,7 @@ def backward(spec: ModelSpec, params: dict, trace: ForwardTrace, target) -> dict
         dz *= 1.0 / B
     else:
         dyhat = 2.0 * (trace.out - t) / B
-        dz = (dyhat * (trace.z_out[:, 0] > 0))[:, None]
+        dz = (dyhat * (trace.out > 0))[:, None]
 
     dfeed = _dense_backward(spec, params, trace, dz, grads)
 

@@ -52,7 +52,6 @@ from .dataset import (
     attach_te,
     bin_series,
     drop_observations,
-    label_convert,
     split_folds,
 )
 from .encoding import te_batch
@@ -73,6 +72,7 @@ from .models import (
 )
 
 _FOLD_SALT = 0xF01D
+HOURS_PER_DAY = 24.0  # regression labels are hours in the data and days in training
 # the optimizer's moment decays and denominator guard (b1, b2 and eps above)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
@@ -205,7 +205,9 @@ def _labels(series_list, task: str) -> np.ndarray:
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("classification labels must be 0 or 1")
         return y
-    return label_convert(y, "to_days")
+    if (y < 0).any():
+        raise ValueError("labels must be >= 0")
+    return y / HOURS_PER_DAY
 
 
 def prepare(batch: BinnedBatch, task: str) -> ArrayData:
@@ -231,8 +233,7 @@ def _test_metrics(task: str, y: np.ndarray, scores: np.ndarray) -> dict[str, flo
             "auc_roc": auc_roc(y, scores),
             "ap": average_precision(y, scores),
         }
-    y_hours = label_convert(y, "to_hours")
-    pred_hours = label_convert(scores, "to_hours")
+    y_hours, pred_hours = y * HOURS_PER_DAY, scores * HOURS_PER_DAY
     return {
         "mae_hours": mae(y_hours, pred_hours),
         "rmse_hours": rmse(y_hours, pred_hours),
@@ -277,6 +278,8 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
     entropy = seed_entropy(seed)
     steps, width = train_data.X.shape[1], train_data.X.shape[2]
     params = init_params(spec, model_input_width(spec, steps, width), entropy + [0])
+    if spec.task == "regression":  # max(z, 0) passes no gradient where z <= 0: start at the mean
+        params["out.b"] = params["out.b"] + train_data.y.mean()
     rng = make_rng(entropy + [1])
 
     # opt_step writes new arrays and never into its inputs, so the parameters
@@ -293,12 +296,11 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
                 where = f"at epoch {epoch}, batch {b}"
                 idx = perm[start : start + hyper.batch_size]
                 xb = train_data.batch(idx)
-                yb = train_data.y[idx]
                 trace = forward(spec, params, xb)[1]
-                batch_loss = loss(spec, trace, yb)
+                batch_loss = loss(trace, train_data.y[idx])
                 if not np.isfinite(batch_loss):
                     raise DivergenceError("non-finite loss")
-                grads = backward(spec, params, trace, yb)
+                grads = backward(params, trace)
                 params, state = opt_step(params, grads, state)
                 total += batch_loss * len(idx)
                 del trace, grads, xb  # freed before the next forward, not after it

@@ -155,10 +155,11 @@ def test_criterion_04_gradient_correctness():
 
             def loss_at(p):
                 out, trace = forward(spec, p, x)
-                return loss(spec, trace, y)
+                return loss(trace, y)
 
             _, trace = forward(spec, params, x)
-            grads = backward(spec, params, trace, y)
+            loss(trace, y)
+            grads = backward(params, trace)
             for name in params:
                 flat = params[name].reshape(-1)
                 gflat = grads[name].reshape(-1)
@@ -442,7 +443,8 @@ def test_criterion_10_optimizer_sanity():
         if float((out.argmax(axis=1) == y).mean()) == 1.0:
             epochs_to_perfect = epoch
             break
-        grads = backward(spec, sep_params, trace, y)
+        loss(trace, y)
+        grads = backward(sep_params, trace)
         sep_params, state = opt_step(sep_params, grads, state)
 
     ok = closed_err < 1e-12 and monotone and epochs_to_perfect is not None

@@ -18,7 +18,6 @@ from tembed.dataset import (
     bin_series,
     drop_observations,
     fit_norm,
-    label_convert,
     load_csv,
     load_schema,
     save_schema,
@@ -627,24 +626,15 @@ class TestSplits:
 
 
 class TestLabelConvert:
+    """Regression labels are hours in the data files and days in training."""
+
     def test_hours_to_days(self):
-        assert label_convert(36.0, "to_days") == 1.5
-        assert label_convert(1.5, "to_hours") == 36.0
+        from tembed import training
+        from tembed.models import ModelSpec
 
-    def test_array_form(self):
-        out = label_convert(np.array([24.0, 48.0]), "to_days")
-        npt.assert_array_equal(out, [1.0, 2.0])
-
-    def test_round_trip_within_one_ulp(self):
-        rng = np.random.default_rng(0)
-        hours = rng.uniform(0, 500, 100)
-        back = label_convert(label_convert(hours, "to_days"), "to_hours")
-        assert np.all(np.abs(back - hours) <= np.spacing(hours))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            label_convert(-1.0, "to_days")
-
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(ValueError):
-            label_convert(1.0, "sideways")
+        ep = series(times=[1.0], chans=[0], vals=[70.0], label=36.0)
+        spec = ModelSpec(family="linreg", task="regression")
+        data = training.prepare(training.build_features([ep], REAL1, 12.0, 2.0, spec), "regression")
+        assert data.y[0] == 1.5
+        got = training._test_metrics("regression", np.array([0.0, 1.0]), np.array([1.5, 2.5]))
+        assert got["mae_hours"] == 36.0

@@ -20,7 +20,7 @@ import pytest
 
 from tembed import models
 from tembed.encoding import EncoderConfig, te_batch
-from tembed.models import AttentionSpec, ModelSpec, backward, forward, init_params, predict
+from tembed.models import AttentionSpec, ModelSpec, backward, forward, init_params, loss, predict
 
 RTOL = 1e-13
 HIDDEN = 8
@@ -110,7 +110,8 @@ def make_spec(family, te_mode):
 
 def run_model(spec, params, x, y):
     out, trace = forward(spec, params, x)
-    return out, trace.H, backward(spec, params, trace, y), predict(spec, params, x)
+    loss(trace, y)
+    return out, trace.H, backward(params, trace), predict(spec, params, x)
 
 
 def assert_matches(fused, reference, what):
@@ -160,7 +161,8 @@ def test_saturated_gates_stay_bounded_without_overflow(family):
     with np.errstate(over="raise", invalid="raise"):
         out, trace = forward(spec, params, x)
         gates = trace.gates.copy()  # backward writes the gate gradients over them
-        grads = backward(spec, params, trace, y)
+        loss(trace, y)
+        grads = backward(params, trace)
     sig = np.concatenate([gates[..., : 2 * HIDDEN], gates[..., 3 * HIDDEN :]], axis=-1)
     assert ((sig >= 0.0) & (sig <= 1.0)).all()
     assert (np.abs(gates[..., 2 * HIDDEN : 3 * HIDDEN]) <= 1.0).all()

@@ -476,7 +476,7 @@ class TestLossAndBackward:
         out, trace = forward(spec, params, x)
         y = np.array([0.0, 1.0, 0.0])
         want = -np.mean([math.log(out[0, 0]), math.log(out[1, 1]), math.log(out[2, 0])])
-        assert math.isclose(loss(spec, trace, y), want, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(loss(trace, y), want, rel_tol=0, abs_tol=1e-12)
 
     def test_mse_hand_case(self):
         spec = spec_of("linreg", task="regression")
@@ -485,7 +485,7 @@ class TestLossAndBackward:
         out, trace = forward(spec, params, x)
         y = np.array([1.0, 2.0])
         want = float(((out - y) ** 2).mean())
-        assert math.isclose(loss(spec, trace, y), want, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(loss(trace, y), want, rel_tol=0, abs_tol=1e-12)
 
     def test_sa_lstm_loss_includes_diversity_penalty(self):
         spec = spec_of("sa_lstm", attention=AttentionSpec(d_a=6, r=3, penalty_c=0.5))
@@ -495,7 +495,7 @@ class TestLossAndBackward:
         y = np.array([0.0, 1.0])
         base = -np.mean([np.log(out[0, 0]), np.log(out[1, 1])])
         penalty = attention_penalty(trace.A, 0.5).mean()
-        assert math.isclose(loss(spec, trace, y), base + penalty, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(loss(trace, y), base + penalty, rel_tol=0, abs_tol=1e-12)
 
     def test_attention_penalty_hand_case(self):
         # one-hot rows attending distinct steps are orthonormal: penalty 0
@@ -508,32 +508,42 @@ class TestLossAndBackward:
         same[0, :, 1] = 1.0
         npt.assert_allclose(attention_penalty(same, 3.0), [6.0], rtol=0, atol=1e-12)
 
-    def test_loss_refuses_foreign_trace(self):
-        spec = spec_of("logreg")
-        other = spec_of("logreg", te_mode="mask")
-        params = init_params(spec, 4, rng_seed=0)
-        out, trace = forward(spec, params, np.ones((1, 2, 2)))
-        with pytest.raises(ValueError, match="spec"):
-            loss(other, trace, np.array([1.0]))
-
     def test_rejects_bad_targets(self):
         spec = spec_of("logreg")
         params = init_params(spec, 4, rng_seed=0)
         out, trace = forward(spec, params, np.ones((2, 2, 2)))
         with pytest.raises(ValueError):
-            loss(spec, trace, np.array([0.0, 2.0]))
+            loss(trace, np.array([0.0, 2.0]))
         with pytest.raises(ValueError):
-            loss(spec, trace, np.array([0.0]))
+            loss(trace, np.array([0.0]))
 
     def test_gradients_cover_every_parameter(self):
         spec = spec_of("sa_lstm", te_mode="add_te", te_cfg=TE8, hidden=8)
         params = init_params(spec, 4, rng_seed=2)
         x = np.random.default_rng(9).normal(size=(3, 5, 4))
         _, trace = forward(spec, params, with_grid_te(spec, x))
-        grads = backward(spec, params, trace, np.array([0.0, 1.0, 1.0]))
+        loss(trace, np.array([0.0, 1.0, 1.0]))
+        grads = backward(params, trace)
         assert set(grads) == set(params)
         for name, g in grads.items():
             assert g.shape == params[name].shape
+
+    def test_backward_without_a_loss_raises(self):
+        spec = spec_of("lstm")
+        params = init_params(spec, 4, rng_seed=0)
+        _, trace = forward(spec, params, np.ones((2, 3, 4)))
+        with pytest.raises(ValueError, match="backward needs a loss taken on the trace"):
+            backward(params, trace)
+
+    def test_second_backward_raises(self):
+        # the first backward consumed the trace: its gate buffer holds gradients now
+        spec = spec_of("lstm")
+        params = init_params(spec, 4, rng_seed=0)
+        _, trace = forward(spec, params, np.ones((2, 3, 4)))
+        loss(trace, np.array([0.0, 1.0]))
+        backward(params, trace)
+        with pytest.raises(ValueError, match="backward needs a loss taken on the trace"):
+            backward(params, trace)
 
     @pytest.mark.parametrize(
         "family,task,mode",
@@ -550,10 +560,11 @@ class TestLossAndBackward:
 
         def loss_at(p):
             out, trace = forward(spec, p, x)
-            return loss(spec, trace, y)
+            return loss(trace, y)
 
         _, trace = forward(spec, params, x)
-        grads = backward(spec, params, trace, y)
+        loss(trace, y)
+        grads = backward(params, trace)
         eps = 1e-5
         for name in params:
             flat = params[name].reshape(-1)

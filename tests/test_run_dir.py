@@ -174,7 +174,8 @@ def saved_sets(draw):
         n = draw(st.integers(0, 6))
         times = sorted(draw(st.lists(st.floats(0, 1e6), min_size=n, max_size=n)))
         chans = draw(st.lists(st.integers(0, n_ch - 1), min_size=n, max_size=n))
-        values = draw(st.lists(finite, min_size=n, max_size=n))
+        # a categorical channel holds codes in [0, 3): load_episodes refuses any other value
+        values = [draw(st.integers(0, 2).map(float) if kinds[c] else finite) for c in chans]
         episodes.append(IrregularSeries(eid, times, chans, values, label=draw(finite), normalized=True))
     return episodes, schema
 
@@ -217,6 +218,11 @@ def _set(name, index, value):
     return change
 
 
+def _bad_code(arrays):
+    arrays["values"] = arrays["values"].copy()
+    arrays["values"][np.argmax(arrays["channel_idx"] == 2)] = 7.0  # ch02 takes codes 0, 1 and 2
+
+
 def _meta(**changes):
     def change(arrays):
         arrays["__meta__"] = np.array(json.dumps(dict(json.loads(str(arrays["__meta__"])), **changes)))
@@ -247,6 +253,7 @@ DAMAGE = {
     "time-unsorted": (_unsort, "times not sorted"),
     "channel": (_set("channel_idx", 0, 3), "channel index outside the 3-channel schema"),
     "value": (_set("values", 0, np.inf), "non-finite value"),
+    "code": (_bad_code, "categorical channel 'ch02' takes integer values in [0, 3), got 7.0"),
     "label": (_set("labels", 0, np.nan), "non-finite label"),
     "ids": (_set("episode_ids", 0, "nobody"), "episode ids differ from the test_ids of experiment.json"),
 }

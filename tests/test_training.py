@@ -14,7 +14,7 @@ from tembed import models, training
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.dataset import drop_observations
 from tembed.encoding import EncoderConfig, te_batch
-from tembed.models import ModelSpec, init_params, model_input_width
+from tembed.models import AttentionSpec, ModelSpec, init_params, model_input_width
 from tembed.training import (
     DEFAULT_FRACTIONS,
     ArrayData,
@@ -44,6 +44,10 @@ CFG = SynthConfig(
 )
 SCHEMA = synth_schema(CFG)
 LOGREG = ModelSpec(family="logreg", task="classification")
+REGRESSION_CFG = SynthConfig(
+    n_channels=1, rate_per_hour=0.5, window_hours=24.0,
+    task="elapsed_regression", gap_threshold_hours=3.0, rng_seed=5,
+)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +207,11 @@ class TestPrepare:
         data = prepare(build_features([ep], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "regression")
         assert data.y[0] == 1.5
 
+    def test_negative_regression_label_rejected(self, corpus):
+        bad = dataclasses.replace(corpus[0][0], label=-1.0)
+        with pytest.raises(ValueError, match="labels must be >= 0"):
+            prepare(build_features([bad], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "regression")
+
 
 class TestBuildFeatures:
     def test_width_per_input_regime(self, corpus):
@@ -337,6 +346,26 @@ class TestTrainOne:
         with pytest.raises(DivergenceError) as info:
             train_one(LOGREG, data.take(tr), data.take(va), Hyper(epochs=3, batch_size=4), 0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("family,mode", [
+        (family, mode) for family in ("mlp", "lstm", "sa_lstm") for mode in models.TE_MODES
+        if mode != "add_te" or family != "mlp"])
+    def test_regression_head_does_not_start_dead(self, family, mode):
+        # max(z, 0) passes no gradient where z <= 0: a head that starts there on
+        # every episode never moves and predicts 0, whose MAE is mean(|y|)
+        hidden = 0 if family == "mlp" else 8
+        te_cfg = (EncoderConfig.temporal(hidden if mode == "add_te" else 4, REGRESSION_CFG.window_hours)
+                  if mode in ("cat_te", "add_te") else None)
+        spec = ModelSpec(family=family, task="regression", hidden=hidden, te_mode=mode, te_cfg=te_cfg,
+                         attention=AttentionSpec(d_a=6, r=3) if family == "sa_lstm" else None)
+        series, _ = gen_dataset(REGRESSION_CFG, 120)
+        batch = build_features(series, synth_schema(REGRESSION_CFG), REGRESSION_CFG.window_hours, 2.0, spec)
+        data = prepare(batch, "regression")
+        fit, val = data.take(range(80)), data.take(range(80, 120))
+        zero_mae = np.abs(val.y).mean()
+        dead = [seed for seed in range(20)
+                if not train_one(spec, fit, val, Hyper(epochs=1), seed).best_val < zero_mae]
+        assert dead == []
 
     @pytest.mark.parametrize("seed", [0, 1, 4])
     def test_overflow_before_the_first_epoch_diverges(self, pool_and_test, seed):
