@@ -270,20 +270,6 @@ def _parse_float(text: str, what: str, line_no: int) -> float:
     return v
 
 
-def _floats(column: Sequence[str]) -> np.ndarray:
-    """Python ``float`` of every string, NaN where one does not parse."""
-    try:
-        return np.fromiter(map(float, column), np.float64, len(column))
-    except ValueError:
-        out = np.full(len(column), np.nan)
-        for i, text in enumerate(column):
-            try:
-                out[i] = float(text)
-            except ValueError:
-                pass
-        return out
-
-
 def _invalid_codes(chans: np.ndarray, vals: np.ndarray, schema: Schema) -> np.ndarray:
     """Mask of observations on a categorical channel whose value is not an
     integer in [0, cardinality)."""
@@ -291,9 +277,15 @@ def _invalid_codes(chans: np.ndarray, vals: np.ndarray, schema: Schema) -> np.nd
     return (card > 0) & ((vals != np.trunc(vals)) | (vals < 0) | (vals >= card))
 
 
-def _check_codes(chans: np.ndarray, vals: np.ndarray, schema: Schema, where) -> None:
-    """Raise for the first invalid categorical code; ``where(i)`` names the
+def _check_schema(chans: np.ndarray, vals: np.ndarray, schema: Schema, where) -> None:
+    """Raise for the first observation that does not fit the schema: a channel
+    index outside it, else an invalid categorical code. ``where(i)`` names the
     line or episode of observation ``i``."""
+    outside = (chans < 0) | (chans >= schema.n_channels)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"{where(i)}: channel index {chans[i]} outside the "
+                         f"{schema.n_channels}-channel schema")
     bad = _invalid_codes(chans, vals, schema)
     if bad.any():
         i = int(np.argmax(bad))
@@ -316,8 +308,8 @@ def _check_row(row: Sequence[str], line_no: int, channel_of: dict[str, int],
     if channel not in channel_of:
         raise ValueError(f"line {line_no}: unknown channel {channel!r}")
     v = _parse_float(v_raw, "value", line_no)
-    _check_codes(np.array([channel_of[channel]]), np.array([v]), schema,
-                 lambda _: f"line {line_no}")
+    _check_schema(np.array([channel_of[channel]]), np.array([v]), schema,
+                  lambda _: f"line {line_no}")
 
 
 def _field_blocks(fh):
@@ -373,22 +365,24 @@ def _parse_block(line_nos: np.ndarray, n_fields: np.ndarray, fields: list[str],
     """Validate one block of records and return its (episode code, time,
     channel, value) columns; ``codes`` numbers episode ids as first seen.
 
-    Every check runs on whole columns; the first offending record goes to
-    :func:`_check_row`, which words the error.
+    Every check runs on whole columns. When one fails, :func:`_check_row`
+    walks the block's records and words the error of the first bad one.
     """
-    if (n_fields != 4).any():
+    try:
+        if (n_fields != 4).any():
+            raise ValueError("a record without 4 fields")
+        eids, t_raw, names, v_raw = (fields[k::4] for k in range(4))
+        times, values = (np.fromiter(map(float, col), np.float64, len(col)) for col in (t_raw, v_raw))
+        chans = np.fromiter(map(channel_of.get, names, itertools.repeat(-1)), np.int64, len(names))
+        # a record with an unknown channel (-1) is bad whatever the code check says
+        if (~np.isfinite(times) | (times < 0) | (chans < 0) | ~np.isfinite(values)
+                | _invalid_codes(chans, values, schema)).any():
+            raise ValueError("a record that does not fit the schema")
+    except ValueError:
         starts = np.cumsum(n_fields) - n_fields
         for start, n, line in zip(starts.tolist(), n_fields.tolist(), line_nos.tolist()):
             _check_row(fields[start : start + n], line, channel_of, schema)
-    eids, t_raw, names, v_raw = (fields[k::4] for k in range(4))
-    times, values = _floats(t_raw), _floats(v_raw)
-    chans = np.fromiter(map(channel_of.get, names, itertools.repeat(-1)), np.int64, len(names))
-    # a record with an unknown channel (-1) is bad whatever the code check says
-    bad = (~np.isfinite(times) | (times < 0) | (chans < 0) | ~np.isfinite(values)
-           | _invalid_codes(chans, values, schema))
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_row([eids[i], t_raw[i], names[i], v_raw[i]], int(line_nos[i]), channel_of, schema)
+        raise  # the walk refuses the first bad record, so this is not reached
     for eid in dict.fromkeys(eids):
         codes.setdefault(eid, len(codes))
     return np.fromiter(map(codes.__getitem__, eids), np.int64, len(eids)), times, chans, values
@@ -501,6 +495,9 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     The container holds a ``__meta__`` JSON (format version, schema) and the
     episodes as columns: ``episode_ids``, ``labels`` and their columnar form
     (``offsets``, ``times``, ``channel_idx`` and ``values``, see ``_to_columns``).
+    Before anything is written, every episode must be labeled and normalized
+    and every observation must fit the schema (``_check_schema``, naming the
+    episode), so nothing is saved that :func:`load_episodes` would refuse.
     """
     for ep in episodes:
         if ep.label is None or not ep.normalized:
@@ -508,13 +505,13 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     ids = np.array([ep.episode_id for ep in episodes], dtype=str)
     if ids.tolist() != [ep.episode_id for ep in episodes]:  # numpy drops trailing NULs
         raise ValueError("episode ids ending in a NUL character cannot be saved")
+    columns = _to_columns(episodes)
+    episode_of = _episode_of(columns["offsets"])
+    _check_schema(columns["channel_idx"], columns["values"], schema,
+                  lambda i: f"episode {episodes[episode_of[i]].episode_id!r}")
     meta = {"format_version": EPISODES_FORMAT_VERSION, "schema": schema.to_dict()}
-    columns = {
-        "episode_ids": ids,
-        "labels": np.array([float(ep.label) for ep in episodes], dtype=np.float64),
-        **_to_columns(episodes),
-    }
-    atomic_write_npz(path, meta, columns)
+    labels = np.array([float(ep.label) for ep in episodes], dtype=np.float64)
+    atomic_write_npz(path, meta, {"episode_ids": ids, "labels": labels, **columns})
 
 
 def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
@@ -553,13 +550,11 @@ def load_episodes(path: str) -> tuple[list[IrregularSeries], Schema]:
     for problem, bad in (
         ("non-finite or negative time", ~np.isfinite(times) | (times < 0)),
         ("times not sorted", np.concatenate([[False], within & (times[1:] < times[:-1])])),
-        (f"channel index outside the {schema.n_channels}-channel schema",
-         (chans < 0) | (chans >= schema.n_channels)),
         ("non-finite value", ~np.isfinite(values)),
     ):
         if bad.any():
             raise ValueError(f"episode {str(ids[episode_of[np.argmax(bad)]])!r}: {problem}")
-    _check_codes(chans, values, schema, lambda i: f"episode {str(ids[episode_of[i]])!r}")
+    _check_schema(chans, values, schema, lambda i: f"episode {str(ids[episode_of[i]])!r}")
     if not np.isfinite(labels).all():
         raise ValueError(f"episode {str(ids[np.argmax(~np.isfinite(labels))])!r}: non-finite label")
     # the checks above established everything IrregularSeries checks
@@ -647,12 +642,7 @@ def bin_series(series_list: Sequence[IrregularSeries], schema: Schema, window: f
     episode, chans, vals = episode[in_window], chans[in_window], vals[in_window]
     bins = np.minimum((times[in_window] / bin_width).astype(np.int64), steps - 1)
 
-    outside = (chans < 0) | (chans >= n_ch)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise ValueError(f"episode {series_list[episode[i]].episode_id!r}: channel index "
-                         f"{chans[i]} outside the {n_ch}-channel schema")
-    _check_codes(chans, vals, schema, lambda i: f"episode {series_list[episode[i]].episode_id!r}")
+    _check_schema(chans, vals, schema, lambda i: f"episode {series_list[episode[i]].episode_id!r}")
 
     cell = (episode * steps + bins) * n_ch + chans
     order = np.argsort(cell, kind="stable")
@@ -711,8 +701,6 @@ def attach_te(batch: BinnedBatch, cfg: EncoderConfig) -> list[np.ndarray]:
     integration: the embedding columns carry the timing, so the mask and
     gap features are left out of the feature set.
     """
-    if cfg.base_kind != "temporal":
-        raise ValueError("attach_te needs a temporal encoder config")
     _check_window(cfg, batch.window)
     gaps = batch.D.min(axis=2)
     return [te_batch(gaps.reshape(-1), cfg).reshape(gaps.shape + (cfg.dim,))]

@@ -10,10 +10,10 @@ head). Time information enters through one of four input regimes:
   module, the model just sees a wider input);
 * ``cat_te``: values plus embedding columns of each step's hours since the
   latest observation in any channel (also built by the dataset module);
-* ``add_te``: embedding columns of the grid times, the last ``te_cfg.dim``
-  input columns (built by ``training.build_features``); ``forward`` splits
-  them off and adds them to the LSTM hidden states before pooling, which
-  requires the embedding dimension to equal the hidden size.
+* ``add_te``: the same embedding columns as ``cat_te``, the last
+  ``te_cfg.dim`` input columns; ``forward`` splits them off and adds them to
+  the LSTM hidden states before pooling, which requires the embedding
+  dimension to equal the hidden size.
 
 Classification heads end in a 2-way softmax, regression heads in a single
 linear unit clamped at zero, whose bias ``training.train_one`` starts at the

@@ -54,9 +54,9 @@ from .dataset import (
     drop_observations,
     split_folds,
 )
-from .encoding import te_batch
 from .metrics import auc_roc, average_precision, explained_variance, mae, rmse
 from .models import (
+    _ENCODED_MODES,
     ModelSpec,
     NumericError,
     alias,
@@ -166,9 +166,11 @@ class ArrayData:
 def build_features(series_list, schema: Schema, window: float, bin_width: float,
                    spec: ModelSpec) -> BinnedBatch:
     """Bin the series and write the values and the time columns that
-    ``spec.te_mode`` calls for side by side into one X. add_te's columns
-    embed the grid times; ``models.forward`` splits them off again and adds
-    them to the hidden states. The result keeps X only; M and D are None.
+    ``spec.te_mode`` calls for side by side into one X. cat_te and add_te
+    take the same columns, ``attach_te``'s embedding of each step's gap since
+    the latest observation; for add_te ``models.forward`` splits them off
+    again and adds them to the hidden states. The result keeps X only; M and
+    D are None.
 
     The series are featurized in ``row_blocks``, so the working arrays of
     ``bin_series`` and the attachments stay one block's worth next to X
@@ -180,11 +182,8 @@ def build_features(series_list, schema: Schema, window: float, bin_width: float,
         columns = [part.X]
         if spec.te_mode == "mask":
             columns += attach_mask(part)
-        elif spec.te_mode == "cat_te":
+        elif spec.te_mode in _ENCODED_MODES:
             columns += attach_te(part, spec.te_cfg)
-        elif spec.te_mode == "add_te":
-            grid_te = te_batch(np.arange(part.X.shape[1]) * float(bin_width), spec.te_cfg)
-            columns.append(np.broadcast_to(grid_te, part.X.shape[:2] + grid_te.shape[1:]))
         if X is None:
             X = np.empty((len(series_list), part.X.shape[1], sum(c.shape[2] for c in columns)))
         np.concatenate(columns, axis=2, out=X[start:stop])

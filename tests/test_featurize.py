@@ -82,11 +82,6 @@ def oracle_te(X, D, cfg):
     return np.hstack([X, te_batch(D.min(axis=1), cfg)])
 
 
-def oracle_add_te(X, bin_width, cfg):
-    """add_te's columns: the embedded left edges of the bins."""
-    return np.hstack([X, te_batch(np.arange(X.shape[0]) * float(bin_width), cfg)])
-
-
 def oracle_features(series_list, schema, window, bin_width, te_mode, cfg=None):
     """X stacked from per-episode features, as ``prepare`` used to build it."""
     out = []
@@ -94,10 +89,8 @@ def oracle_features(series_list, schema, window, bin_width, te_mode, cfg=None):
         X, M, D = oracle_bin(s, schema, window, bin_width)
         if te_mode == "mask":
             X = oracle_mask(X, M, D, window)
-        elif te_mode == "cat_te":
+        elif te_mode in ("cat_te", "add_te"):  # add_te's columns are cat_te's embedded gaps
             X = oracle_te(X, D, cfg)
-        elif te_mode == "add_te":
-            X = oracle_add_te(X, bin_width, cfg)
         out.append(X)
     return np.stack(out)
 

@@ -293,8 +293,8 @@ TASKS_OF = {"linreg": ("regression",), "logreg": ("classification",)}
 
 
 def with_grid_te(spec, x):
-    """``x`` with add_te's embedding columns of the grid times 0, 1, 2, ...
-    appended, as ``training.build_features`` writes them; else ``x``."""
+    """``x`` with add_te's embedding columns appended, here of the grid times
+    0, 1, 2, ... (``forward`` adds whatever those columns hold); else ``x``."""
     if spec.te_mode != "add_te":
         return x
     grid_te = te_batch(np.arange(float(x.shape[-2])), spec.te_cfg)

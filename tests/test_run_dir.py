@@ -203,6 +203,22 @@ def test_save_episodes_refuses_what_would_not_read_back(tmp_path, episode, messa
     assert not (tmp_path / "t.npz").exists()
 
 
+@pytest.mark.parametrize("bad,message", [
+    (IrregularSeries("b", [1.0, 2.0], [0, 0], [2.0, 7.0], label=1.0, normalized=True),
+     "episode 'b': categorical channel 'c0' takes integer values in [0, 3), got 7.0"),
+    (IrregularSeries("b", [1.0], [3], [2.0], label=1.0, normalized=True),
+     "episode 'b': channel index 3 outside the 1-channel schema"),
+], ids=["code", "channel"])
+def test_save_episodes_refuses_observations_outside_the_schema(tmp_path, bad, message):
+    # the bad episode comes second, so the error must name it, not the first
+    schema = Schema(channels=(ChannelSpec("c0", "categorical", 3),))
+    good = IrregularSeries("a", [0.5, 1.5], [0, 0], [0.0, 2.0], label=0.0, normalized=True)
+    with pytest.raises(ValueError) as err:
+        save_episodes(str(tmp_path / "t.npz"), [good, bad], schema)
+    assert str(err.value) == message
+    assert not (tmp_path / "t.npz").exists()
+
+
 # --- a damaged or missing test set fails the sweep with a named problem ----
 
 def _first_multi(arrays):
@@ -251,7 +267,7 @@ DAMAGE = {
     "time-nan": (_set("times", 0, np.nan), "non-finite or negative time"),
     "time-negative": (_set("times", 0, -1.0), "non-finite or negative time"),
     "time-unsorted": (_unsort, "times not sorted"),
-    "channel": (_set("channel_idx", 0, 3), "channel index outside the 3-channel schema"),
+    "channel": (_set("channel_idx", 0, 3), "channel index 3 outside the 3-channel schema"),
     "value": (_set("values", 0, np.inf), "non-finite value"),
     "code": (_bad_code, "categorical channel 'ch02' takes integer values in [0, 3), got 7.0"),
     "label": (_set("labels", 0, np.nan), "non-finite label"),

@@ -12,7 +12,7 @@ import pytest
 
 from tembed import models, training
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
-from tembed.dataset import drop_observations
+from tembed.dataset import ChannelSpec, IrregularSeries, Schema, drop_observations
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import AttentionSpec, ModelSpec, init_params, model_input_width
 from tembed.training import (
@@ -226,17 +226,31 @@ class TestBuildFeatures:
         assert widths["mask"] == 2 + 2 * CFG.n_channels
         assert widths["cat_te"] == 2 + 4
 
-    def test_add_te_appends_embedded_bin_left_edges(self, corpus):
+    def test_add_te_appends_embedded_gaps(self, corpus):
         pool_series, _ = corpus
         te_cfg = EncoderConfig.temporal(4, WINDOW)
         spec = ModelSpec(family="lstm", task="classification", hidden=4, te_mode="add_te", te_cfg=te_cfg)
         X = build_features(pool_series[:3], SCHEMA, WINDOW, BIN_WIDTH, spec).X
         assert X.shape[2] == 2 + 4
-        left_edges = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
-        for episode in X:
-            npt.assert_array_equal(episode[:, 2:], te_batch(left_edges, te_cfg))
+        for series, episode in zip(pool_series[:3], X):
+            # hours from each bin's left edge back to the bin of the latest
+            # observation in any channel, or to the window start before the first
+            bins = (series.times[series.times < WINDOW] // BIN_WIDTH).astype(int)
+            gaps = [(j - bins[bins <= j].max(initial=0)) * BIN_WIDTH for j in range(6)]
+            npt.assert_array_equal(episode[:, 2:], te_batch(gaps, te_cfg))
         # the model adds those columns to its hidden states; the LSTM reads the rest
         assert model_input_width(spec, X.shape[1], X.shape[2]) == 2
+
+    def test_add_te_columns_follow_observation_times(self):
+        # equal values, observed at different times: only the timing tells them apart
+        schema = Schema(channels=(ChannelSpec("c0", "real"),))
+        early = IrregularSeries("early", [0.5, 4.5], [0, 0], [1.0, 1.0], label=0.0)
+        late = IrregularSeries("late", [0.5, 8.5], [0, 0], [1.0, 1.0], label=1.0)
+        spec = ModelSpec(family="lstm", task="classification", hidden=4, te_mode="add_te",
+                         te_cfg=EncoderConfig.temporal(4, WINDOW))
+        X = build_features([early, late], schema, WINDOW, BIN_WIDTH, spec).X
+        npt.assert_array_equal(X[0, :, :1], X[1, :, :1])
+        assert not np.array_equal(X[0, :, 1:], X[1, :, 1:])
 
 
 class TestTrainOne:
