@@ -23,8 +23,9 @@ and seed. Each config section has one table below, read by
 dataclass section takes its keys and defaults from its fields and leaves
 the checks to its constructor. Flags are merged into the config first, so
 a flag value is checked as its config entry is. The train command runs its
-fold-by-run grid on a thread per CPU the process may use; its outputs do
-not depend on that count.
+fold-by-run grid on a process per CPU the process may use (workers fork on
+Linux from a process of one thread, so with OPENBLAS_NUM_THREADS=1;
+otherwise it trains serially); its outputs do not depend on that count.
 """
 
 from __future__ import annotations

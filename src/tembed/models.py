@@ -27,9 +27,10 @@ batch; ``backward(params, trace)`` takes them off and gives that loss's exact
 reverse-mode derivatives, verified against central finite differences in the
 test suite. It consumes the trace: the LSTM gate gradients overwrite its gate
 buffer. ``predict`` returns what ``forward`` returns without its trace: it
-runs blocks of rows on a thread per usable CPU through ``fan_out``, and
-without a trace the LSTM keeps one step of its gate and cell buffers
-instead of every step.
+runs blocks of rows in the calling process, and without a trace the LSTM
+keeps one step of its gate and cell buffers instead of every step.
+``fan_out`` runs a list of items, training jobs or sweep blocks, on a
+process per usable CPU.
 Parameters live in plain dicts of named float64 arrays; all functions
 here treat them as immutable.
 """
@@ -39,8 +40,10 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import select
+import signal
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -479,50 +482,148 @@ def forward(spec: ModelSpec, params: dict, features):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    """Groups ``fan_out`` deals items out to: one per CPU this process may
+    run on, where its workers can fork: on Linux, from a process that runs
+    one thread. Elsewhere one.
+
+    A second thread is most often the BLAS pool numpy starts unless
+    OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, MKL_NUM_THREADS) is 1. Each
+    worker forked from such a process starts a pool of its own, and on
+    2 vCPUs the pools fought: a quickstart ``train`` took 4.8-18 s on
+    forked workers against about 3 s serially."""
+    if not sys.platform.startswith("linux") or len(os.listdir("/proc/self/task")) > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
-# Set inside fan_out's groups: work they start runs on their own thread.
+# Set while fan_out runs items: a fan_out they call runs its items in place.
 _IN_FAN_OUT = contextvars.ContextVar("tembed_in_fan_out", default=False)
 
 
 def fan_out(fn, items: list) -> list:
-    """``[fn(item) for item in items]`` on a thread per usable CPU.
+    """``[fn(item) for item in items]`` on a process per usable CPU.
 
-    The items are dealt out in contiguous groups, one per CPU: the calling
-    thread runs the first group and a pool of threads, started for this
-    call, the others. Each group runs in a copy of the caller's context, so
-    numpy's error state (np.errstate) carries over, and marked as inside a
-    fan-out: a fan_out called from a group runs every item on its own thread,
-    so that the CPUs are not oversubscribed. The results come back in item
-    order; when items fail, the first one in item order raises, and the other
-    groups stop after their current item (so an interrupt does not wait for
-    whole groups).
+    The items are dealt out in contiguous groups, one per CPU but no more
+    than there are items. The caller runs the first group; each other group
+    runs in a worker forked for this call, which inherits the inputs and
+    numpy's error state (np.errstate) copy-on-write and sends back its
+    results, or its first failure, pickled through a pipe. Items run in
+    place, with no worker, when there is one group or when a fan_out's item
+    calls fan_out, so that the CPUs are not oversubscribed.
+
+    The results come back in item order. When items fail, the first one in
+    item order raises: a failure stops its group, and every group after it
+    is killed (the caller looks for failed workers between its own items,
+    then waits for any worker's reply), while the groups before it run on,
+    as one of them may fail first. An exception the worker cannot pickle,
+    and a worker that ends without a reply, raise ``ChildProcessError``
+    naming the worker's items. Every worker is reaped before fan_out
+    returns or raises.
     """
-    n = min(1 if _IN_FAN_OUT.get() else _usable_cpus(), len(items))
-    groups = [items[len(items) * g // n : len(items) * (g + 1) // n] for g in range(n)]
-    failed = threading.Event()
+    n = max(min(1 if _IN_FAN_OUT.get() else _usable_cpus(), len(items)), 1)
+    bounds = [len(items) * g // n for g in range(n + 1)]
+    token = _IN_FAN_OUT.set(True)
+    workers: list[_Worker] = []
+    try:
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_Worker(fn, items[a:b], f"items {a}-{b - 1}"))
+        results = []
+        for item in items[: bounds[1]]:
+            _take_replies(workers, 0)
+            results.append(fn(item))
+        while any(worker.pid is not None for worker in workers):
+            _take_replies(workers, None)
+        for worker in workers:  # one killed is after a failed one, which raises first
+            ok, reply = worker.reply
+            if not ok:
+                raise reply
+            results += reply
+        return results
+    finally:
+        _IN_FAN_OUT.reset(token)
+        for worker in workers:
+            worker.close()
 
-    def run(group: list) -> list:
-        _IN_FAN_OUT.set(True)
-        return [fn(item) for item in group if not failed.is_set()]
 
-    if n <= 1:
-        return contextvars.copy_context().run(run, items)
-    with ThreadPoolExecutor(n - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, g) for g in groups[1:]]
+class _Worker:
+    """A forked child that runs one contiguous group of ``fan_out``'s items
+    and replies through a pipe: (True, results) or (False, first failure)."""
+
+    def __init__(self, fn, group: list, name: str):
+        self.name, self.reply = name, None
+        read, write = os.pipe()
         try:
-            results = contextvars.copy_context().run(run, groups[0])
-            for future in futures:
-                results += future.result()
-        except BaseException:
-            failed.set()
+            self.pid = os.fork()
+        except OSError:  # no process to run the group
+            os.close(read)
+            os.close(write)
             raise
-    return results
+        if self.pid == 0:
+            _serve(fn, group, write, name)  # does not return
+        os.close(write)
+        self.fd = read
+
+    def receive(self) -> tuple:
+        """The reply, waiting for it; reaps the worker."""
+        if self.reply is None:
+            with open(self.fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            self.close()
+            try:
+                self.reply = pickle.loads(data)
+            except Exception as exc:  # no reply, a cut one, or one that does not unpickle here
+                ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                self.reply = False, ChildProcessError(
+                    f"fan_out's worker for {self.name} sent no readable reply ({ended}; {exc!r})")
+        return self.reply
+
+    def close(self) -> None:
+        """Kill the worker if it has not been reaped, reap it, close the pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+
+def _serve(fn, group: list, fd: int, name: str) -> None:
+    """A worker's whole life: run the group, send the reply, and leave with
+    ``os._exit``, so that none of the caller's cleanup runs twice."""
+    code = 1
+    try:
+        try:
+            reply = True, [fn(item) for item in group]
+        except BaseException as exc:  # the caller raises it
+            reply = False, exc
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            what = "results" if reply[0] else f"{type(reply[1]).__name__}: {reply[1]}"
+            failure = ChildProcessError(f"fan_out's worker for {name} cannot send its {what} ({exc})")
+            data = pickle.dumps((False, failure))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _take_replies(workers: list[_Worker], timeout: int | None) -> None:
+    """Take the replies sent within ``timeout`` ms (None: wait for one);
+    kill the workers after the first failed one, as none of their items can
+    fail first in item order."""
+    waiting, poller = {w.fd: w for w in workers if w.pid is not None}, select.poll()
+    for fd in waiting:
+        poller.register(fd, select.POLLIN)
+    for fd, _ in poller.poll(timeout):
+        waiting[fd].receive()
+    failed = [i for i, w in enumerate(workers) if w.reply is not None and not w.reply[0]]
+    for worker in workers[failed[0] + 1 :] if failed else []:
+        worker.close()
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -537,14 +638,14 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def predict(spec: ModelSpec, params: dict, features, rows=None) -> np.ndarray:
-    """``forward``'s output without the trace, on every CPU the process may use.
+    """``forward``'s output without the trace, block by block.
 
     With ``rows``, the output for ``features[rows]``, gathered block by block
     instead of copied whole. The rows are cut into ``row_blocks``, which
-    ``fan_out`` deals out to the CPUs. No block keeps the LSTM gate and
+    run one after another in the calling process: a block of 128 rows is
+    too little work to pay for a fork. No block keeps the LSTM gate and
     cell buffers of every step, and each block checks its own inputs. The
-    results are joined in row order; when blocks fail, the first one in row
-    order raises.
+    results are joined in row order; the first failing block raises.
     """
     x = _as_batch(features)
 
@@ -552,7 +653,8 @@ def predict(spec: ModelSpec, params: dict, features, rows=None) -> np.ndarray:
         a, b = block
         return _forward(spec, params, x[a:b] if rows is None else x[rows[a:b]], None)
 
-    return np.concatenate(fan_out(run, row_blocks(len(x) if rows is None else len(rows))))
+    blocks = row_blocks(len(x) if rows is None else len(rows))
+    return np.concatenate([run(block) for block in blocks])
 
 
 def attention_penalty(A: np.ndarray, c: float) -> np.ndarray:

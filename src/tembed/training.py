@@ -20,19 +20,21 @@ Validation metrics: AUC-ROC for classification (higher is better), MAE on
 the day scale for regression (lower is better). Test metrics for
 regression are reported in hours.
 
-``run_cv`` trains the fold-by-run grid on a thread per usable CPU through
-``models.fan_out`` and merges the results in (fold, run) order, so the
-report does not depend on the CPU count; limit the process's CPUs (for
-example with ``taskset -c 0``) to train serially. Scoring
-(``predict_scores``) goes through ``models.predict``, which fans out the
-same way when called outside a job and runs on the job's own thread inside
-one, so the CPUs are not oversubscribed. Putting the episodes in id order
-and a job's folds select rows of the pool's X (``ArrayData.take``) and copy
-none; ``build_features`` featurizes in ``predict``'s row blocks.
+``run_cv`` trains the fold-by-run grid on a process per usable CPU through
+``models.fan_out`` (the caller and workers forked on Linux from a process
+of one thread; the caller alone otherwise) and merges the results in
+(fold, run) order, so the report does not depend on the CPU count; limit
+the process's CPUs (for example with ``taskset -c 0``) to train serially.
+Scoring (``predict_scores``) goes through ``models.predict``, which runs
+in the calling process: the job's own process inside a job. Putting the
+episodes in id order and a job's folds select rows of the pool's X
+(``ArrayData.take``) and copy none; a forked worker shares those rows with
+the caller copy-on-write. ``build_features`` featurizes in ``predict``'s
+row blocks.
 
 ``sweep_dropout`` fans out the same way over (row block, fraction) items:
-each thins, featurizes and scores one of ``predict``'s row blocks on the
-thread that runs it, so no fraction's feature tensor exists whole, and the
+each thins, featurizes and scores one of ``predict``'s row blocks in the
+process that runs it, so no fraction's feature tensor exists whole, and the
 scores are joined in row order before the metrics, which ``evaluate``
 computes with the same helper.
 """
@@ -450,10 +452,10 @@ def sweep_dropout(spec: ModelSpec, selected_params: dict[int, dict],
     The fraction-1.0 row evaluates the untouched test set.
 
     Each (row block, fraction) pair is one ``fan_out`` item that thins,
-    featurizes and scores its block on the thread that runs it, so no
-    fraction's features exist whole. The blocks are ``predict``'s
-    (``row_blocks``), so every score rounds as ``evaluate`` on the whole
-    fraction would give it.
+    featurizes and scores its block in the process that runs it (the caller
+    or a forked worker, which sends back only the scores), so no fraction's
+    features exist whole. The blocks are ``predict``'s (``row_blocks``), so
+    every score rounds as ``evaluate`` on the whole fraction would give it.
     """
     if not selected_params:
         raise ValueError("no selected models to sweep")

@@ -208,7 +208,7 @@ def test_build_features_across_chunks_matches_oracle(te_mode):
 
 
 def test_binning_a_sweep_block_stays_within_its_memory_bound():
-    # a sweep thread bins one 128-episode block; over 18 real channels and 48
+    # a sweep worker bins one 128-episode block; over 18 real channels and 48
     # steps the X, M and D it returns take 0.84 MiB each. Forward-filling one
     # int32 rank array peaks at 7.0 MiB with numpy 2.4, where filling values
     # and step indices separately peaked at 9.0 MiB.

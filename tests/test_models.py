@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -11,9 +12,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import record, records
 from tembed import models
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import (
+    _BLOCK,
     AttentionSpec,
     ModelSpec,
     NumericError,
@@ -314,18 +317,23 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def wait_for(condition, timeout=10.0):
+    """Poll ``condition`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
 class TestPredict:
     @pytest.mark.parametrize("batch", [1, 127, 128, 129, 300])
     @pytest.mark.parametrize("family,mode", PREDICT_CASES)
-    def test_bit_equal_to_forward(self, monkeypatch, family, mode, batch):
+    def test_bit_equal_to_forward(self, family, mode, batch):
         for task in TASKS_OF.get(family, models.TASKS):
             spec, params = predict_fixture(family, mode, task)
             x = with_grid_te(spec, np.random.default_rng(batch).normal(size=(batch, 6, 5)))
             want, _ = forward(spec, params, x)
-            for cpus in (1, 3):
-                monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
-                got = predict(spec, params, x)
-                assert same_bits(got, want), f"{task}, {cpus} CPUs"
+            assert same_bits(predict(spec, params, x), want), task
 
     def test_errors_match_forward(self):
         spec, params = predict_fixture("lstm", "add_te", "classification")
@@ -337,36 +345,38 @@ class TestPredict:
         with pytest.raises(NumericError, match="input"):
             predict(spec, params, x)
 
-    @pytest.mark.parametrize("batch,cpus,blocks,pool", [
-        (100, 8, [100], None),  # one block, no pool
+    @pytest.mark.parametrize("batch,cpus,blocks,workers", [
+        (100, 8, [100], None),  # one block, no worker
         (129, 8, [129], None),  # a lone last row joins the block before it
         (130, 8, [128, 2], 1),
         (385, 2, [128, 128, 129], 1),
         (300, 8, [128, 128, 44], 2),  # never more groups than blocks
         (300, 1, [128, 128, 44], None),
     ])
-    def test_one_group_per_cpu_and_block(self, monkeypatch, batch, cpus, blocks, pool):
-        sizes = []
+    def test_one_group_per_cpu_and_block(self, monkeypatch, tmp_path, batch, cpus, blocks, workers):
+        log = tmp_path / "blocks"
         real_forward = models._forward
 
         def recording_forward(spec, params, x, trace):
-            sizes.append(len(x))
+            record(log, os.getpid(), len(x))
             return real_forward(spec, params, x, trace)
 
-        pools = []
-
-        class RecordingPool(models.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
         monkeypatch.setattr(models, "_forward", recording_forward)
-        monkeypatch.setattr(models, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
         spec, params = predict_fixture("logreg", "none", "classification")
-        predict(spec, params, np.ones((batch, 6, 5)))
-        assert sorted(sizes) == sorted(blocks)
-        assert pools == ([] if pool is None else [pool])
+        x = np.ones((batch, 6, 5))
+        # predict scores its blocks in the caller, however many CPUs it has
+        predict(spec, params, x)
+        assert [(int(pid), int(size)) for pid, size in records(log)] == \
+            [(os.getpid(), size) for size in blocks]
+        # a fan_out over the blocks, as sweep_dropout's, runs the first group
+        # in the caller and each other group in a worker process
+        log.unlink()
+        models.fan_out(lambda block: predict(spec, params, x[slice(*block)]), models.row_blocks(batch))
+        seen = records(log)
+        assert sorted(int(size) for _, size in seen) == sorted(blocks)
+        pids = {pid for pid, _ in seen}
+        assert str(os.getpid()) in pids and len(pids) - 1 == (workers or 0)
 
     def test_first_failing_block_in_row_order_raises(self, monkeypatch):
         real_forward = models._forward
@@ -379,11 +389,9 @@ class TestPredict:
             return real_forward(spec, params, x, trace)
 
         monkeypatch.setattr(models, "_forward", failing_forward)
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
         spec, params = predict_fixture("logreg", "none", "classification")
         x = np.broadcast_to(np.arange(640.0)[:, None, None], (640, 6, 5))
-        # blocks start at 0, 128, 256, 384 and 512; the groups are
-        # [0], [128, 256] and [384, 512]
+        # blocks start at 0, 128, 256, 384 and 512
         for rows, first in (({256, 384}, 256), ({512, 128}, 128), ({0, 512}, 0)):
             failing.clear()
             failing.update(rows)
@@ -395,68 +403,149 @@ class TestPredict:
         x = with_grid_te(spec, np.random.default_rng(8).normal(size=(8 * 128 + 5, 6, 5)))
         want, _ = forward(spec, params, x)
         monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = [predict(spec, params, x) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        for got in results:
-            assert same_bits(got, want)
+        blocks = models.row_blocks(len(x))
+        assert len(blocks) == 9  # 8 groups: the caller and 7 workers
+        for _ in range(3):
+            got = models.fan_out(lambda block: predict(spec, params, x[slice(*block)]), blocks)
+            assert same_bits(np.concatenate(got), want)
 
-    def test_calls_inside_a_fan_out_run_their_blocks_themselves(self, monkeypatch):
-        pools, pool_class = [], models.ThreadPoolExecutor
-        monkeypatch.setattr(models, "ThreadPoolExecutor", lambda n: pools.append(n) or pool_class(n))
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+    def test_calls_inside_a_fan_out_run_their_blocks_themselves(self, monkeypatch, tmp_path):
         spec, params = predict_fixture("lstm", "add_te", "classification")
         x = with_grid_te(spec, np.random.default_rng(9).normal(size=(300, 6, 5)))
         want = forward(spec, params, x)[0]
-        # two jobs on two threads, each scoring three blocks on its own thread
-        results = models.fan_out(lambda _: predict(spec, params, x), [0, 1])
-        assert pools == [1]
-        assert all(same_bits(got, want) for got in results)
-        # any other thread is not inside a fan-out and deals its blocks out
-        caller = threading.Thread(target=lambda: results.append(predict(spec, params, x)))
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive() and pools == [1, 2]
-        assert same_bits(results[2], want)
+        log = tmp_path / "blocks"
+        real_forward = models._forward
+        monkeypatch.setattr(models, "_forward", lambda *a: record(log, os.getpid()) or real_forward(*a))
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+        # two jobs, the caller's and one worker's, each scoring its three
+        # blocks in its own process
+        results = models.fan_out(lambda _: (predict(spec, params, x), os.getpid()), [0, 1])
+        worker = results[1][1]
+        assert worker != os.getpid()
+        assert sorted(pid for (pid,) in records(log)) == sorted([str(os.getpid())] * 3 + [str(worker)] * 3)
+        assert all(same_bits(got, want) for got, _ in results)
 
     def test_fan_out_keeps_item_order_and_marks_only_its_groups(self, monkeypatch):
         monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        seen = []
 
         def job(i):
-            seen.append((i, threading.get_ident(), models._IN_FAN_OUT.get()))
-            return i * i
+            return i * i, os.getpid(), models._IN_FAN_OUT.get()
 
-        assert models.fan_out(job, list(range(7))) == [i * i for i in range(7)]
-        assert all(inside for _, _, inside in seen)
+        got = models.fan_out(job, list(range(7)))
+        assert [square for square, _, _ in got] == [i * i for i in range(7)]
+        assert all(inside for _, _, inside in got)
         assert not models._IN_FAN_OUT.get()
-        # contiguous groups: [0, 1], [2, 3], [4, 5, 6], the first on the caller
-        threads = {i: ident for i, ident, _ in seen}
-        assert threads[0] == threads[1] == threading.get_ident()
-        assert threads[2] == threads[3] != threads[0]
-        assert threads[4] == threads[5] == threads[6] != threads[0]
+        # contiguous groups: [0, 1], [2, 3], [4, 5, 6], the first in the caller
+        pids = [pid for _, pid, _ in got]
+        assert pids[0] == pids[1] == os.getpid()
+        assert pids[2] == pids[3] not in (pids[0], pids[4])
+        assert pids[4] == pids[5] == pids[6] != pids[0]
         assert models.fan_out(job, []) == []
 
-    def test_a_failing_item_stops_the_other_groups(self, monkeypatch):
+    def test_a_failing_item_stops_the_other_groups(self, monkeypatch, tmp_path):
         monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
-        started, ran = threading.Event(), []
+        started = tmp_path / "started"
 
         def job(i):
-            ran.append(i)
+            record(tmp_path / "ran", i)
             if i == 0:
-                started.wait(10)
+                wait_for(started.exists)
                 raise KeyError("item 0")
-            started.set()
-            time.sleep(0.1)
+            started.touch()
+            time.sleep(30)
 
-        # groups [0, 1, 2] on the caller and [3, 4, 5] on the pool: item 0
-        # fails while item 3 runs, so neither group starts another item
+        # groups [0, 1, 2] in the caller and [3, 4, 5] in a worker: item 0
+        # fails while item 3 runs, and the worker is killed inside item 3
+        begun = time.monotonic()
         with pytest.raises(KeyError, match="item 0"):
             models.fan_out(job, list(range(6)))
-        assert sorted(ran) == [0, 3]
+        assert time.monotonic() - begun < 15
+        assert sorted(int(i) for (i,) in records(tmp_path / "ran")) == [0, 3]
+
+    def test_a_failing_worker_kills_the_groups_after_it(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+
+        def pid_of(i):
+            seen = records(tmp_path / f"pid{i}")
+            return int(seen[0][0]) if seen else None
+
+        def job(i):
+            record(tmp_path / "ran", i)
+            if i in (4, 6):
+                record(tmp_path / f"pid{i}", os.getpid())
+            if i == 0:
+                # once item 6 runs, let item 4 fail, then wait until its
+                # worker has sent the failure and exited (WNOWAIT leaves it
+                # unreaped)
+                wait_for(lambda: pid_of(6))
+                (tmp_path / "go").touch()
+                wait_for(lambda: pid_of(4) and os.waitid(os.P_PID, pid_of(4),
+                                                         os.WEXITED | os.WNOHANG | os.WNOWAIT))
+            elif i == 1:
+                # the caller saw that failure between its items and killed
+                # the worker after it, but not the one before it
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid_of(6), 0)
+            elif i == 2:
+                time.sleep(0.5)
+            elif i == 3:
+                raise KeyError("item 3")
+            elif i == 4:
+                wait_for((tmp_path / "go").exists)
+                raise KeyError("item 4")
+            elif i == 6:
+                time.sleep(30)
+            return i
+
+        # groups [0, 1], [2, 3], [4, 5] and [6, 7]: item 4 fails first, and
+        # item 3, which fails later, is the first failure in item order
+        begun = time.monotonic()
+        with pytest.raises(KeyError, match="item 3"):
+            models.fan_out(job, list(range(8)))
+        assert time.monotonic() - begun < 15
+        assert sorted(int(i) for (i,) in records(tmp_path / "ran")) == [0, 1, 2, 3, 4, 6]
+
+    def test_a_failing_worker_kills_the_groups_after_it_while_the_caller_waits(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+
+        def pid_of(i):
+            seen = records(tmp_path / f"pid{i}")
+            return int(seen[0][0]) if seen else None
+
+        def killed(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+            return False
+
+        def job(i):
+            record(tmp_path / "ran", i)
+            if i == 6:
+                record(tmp_path / "pid6", os.getpid())
+                time.sleep(30)
+            elif i == 2:
+                # the caller has run its group and waits for the workers:
+                # once item 6 runs, let item 4 fail, and go on only when the
+                # caller has killed and reaped item 6's worker
+                wait_for(lambda: pid_of(6))
+                (tmp_path / "go").touch()
+                wait_for(lambda: killed(pid_of(6)))
+            elif i == 3:
+                raise KeyError("item 3")
+            elif i == 4:
+                wait_for((tmp_path / "go").exists)
+                raise KeyError("item 4")
+            return i
+
+        # groups [0, 1], [2, 3], [4, 5] and [6, 7]: item 4 fails first, and
+        # item 3, which fails later, is the first failure in item order
+        begun = time.monotonic()
+        with pytest.raises(KeyError, match="item 3"):
+            models.fan_out(job, list(range(8)))
+        assert time.monotonic() - begun < 15
+        assert sorted(int(i) for (i,) in records(tmp_path / "ran")) == [0, 1, 2, 3, 4, 6]
 
     def test_import_starts_no_thread(self):
         code = "import threading, tembed.cli; print(threading.active_count())"
@@ -468,6 +557,88 @@ class TestPredict:
         assert out.stdout.strip() == "1"
 
 
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("no pickling")
+
+
+class TwoArgs(Exception):
+    """Pickles, but does not unpickle: its one stored arg misses ``b``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+# how a fan_out call ends: what it raises, and a pattern of the message
+FAN_OUT_ENDINGS = {
+    "success": (None, None),
+    "worker_raises": (KeyError, "item 4"),
+    "caller_raises": (KeyError, "item 1"),
+    "interrupt": (KeyboardInterrupt, None),
+    "worker_killed": (ChildProcessError, r"worker for items 3-5 .*killed by signal 9"),
+    "unpicklable": (ChildProcessError, r"worker for items 3-5 cannot send its Unpicklable: item 4"),
+    "unreadable": (ChildProcessError, r"worker for items 3-5 sent no readable reply .*TypeError"),
+}
+
+
+class TestFanOutWorkers:
+    """The workers ``fan_out`` forks: however a call ends, it has reaped
+    them all; it forks none from a process that runs a second thread."""
+
+    @pytest.mark.parametrize("case", list(FAN_OUT_ENDINGS))
+    def test_no_worker_outlives_the_call(self, monkeypatch, case):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        raised, match = FAN_OUT_ENDINGS[case]
+
+        def job(i):
+            # groups [0, 1, 2] in the caller and [3, 4, 5] in a worker
+            if case == "worker_raises" and i == 4:
+                raise KeyError("item 4")
+            if case == "caller_raises" and i == 1:
+                raise KeyError("item 1")
+            if case == "interrupt" and i == 1:
+                raise KeyboardInterrupt
+            if case == "worker_killed" and i == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if case == "unpicklable" and i == 4:
+                raise Unpicklable("item 4")
+            if case == "unreadable" and i == 4:
+                raise TwoArgs("item", 4)
+            if case in ("caller_raises", "interrupt") and i >= 3:
+                time.sleep(30)  # killed, not waited for
+            return i
+
+        begun = time.monotonic()
+        if raised is None:
+            assert models.fan_out(job, list(range(6))) == list(range(6))
+        else:
+            with pytest.raises(raised, match=match):
+                models.fan_out(job, list(range(6)))
+        assert time.monotonic() - begun < 15
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
+    def test_forks_only_from_a_process_of_one_thread(self):
+        # a process whose BLAS pool runs on one thread runs one thread
+        code = "from tembed import models; print(models._usable_cpus())"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert int(out.stdout) == len(os.sched_getaffinity(0))
+        # with a second thread running, every item runs in the caller
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert models._usable_cpus() == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
 class TestLossAndBackward:
     def test_cross_entropy_hand_case(self):
         spec = spec_of("logreg")

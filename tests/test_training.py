@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import threading
 import tracemalloc
 import weakref
@@ -10,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import record, records
 from tembed import models, training
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.dataset import ChannelSpec, IrregularSeries, Schema, drop_observations
@@ -424,17 +426,19 @@ class TestEvaluate:
         X[256:] = 1e306  # finite scores at the initial weights, overflow once trained
         val = ArrayData(X=X, y=np.concatenate([data.y] * reps)[:300])
         hyper = Hyper(lr=1e3, epochs=2, batch_size=8)
-        messages = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
-            # the error state is the caller's; predict's worker threads must share it
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(DivergenceError) as info:
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+
+        def attempt(_):
+            with pytest.raises(DivergenceError) as info:
                 train_one(LOGREG, data.take(tr), val, hyper, seed=0)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-        assert messages[0] == ("numeric overflow at epoch 0, in validation: "
-                               "non-finite activation in layer 'output'")
+            return str(info.value)
+
+        # the error state is the caller's; the forked worker, which runs the
+        # second attempt, must inherit it
+        with np.errstate(over="ignore", invalid="ignore"):
+            messages = models.fan_out(attempt, [0, 1])
+        assert messages == 2 * ["numeric overflow at epoch 0, in validation: "
+                                "non-finite activation in layer 'output'"]
 
     def test_val_metric_names(self):
         assert val_metric_name("classification") == "auc_roc"
@@ -540,7 +544,7 @@ class TestRunCV:
 
     def test_diverging_runs_are_recorded_not_raised(self, pool_and_test, monkeypatch):
         pool, test = pool_and_test
-        # the jobs on pool threads must see the caller's error state too
+        # the jobs in workers must see the caller's error state too
         for cpus in (1, 2):
             monkeypatch.setattr(models, "_usable_cpus", lambda n=cpus: n)
             with np.errstate(all="ignore"):
@@ -570,26 +574,29 @@ class TestRunCV:
             with pytest.raises(RuntimeError, match=r"^job 1,0$"):
                 run_cv(LOGREG, pool, test, CV_HYPER, k=3, runs_per_fold=2, base_seed=11)
 
-    def test_validation_inside_a_job_starts_no_thread(self, monkeypatch):
+    def test_validation_inside_a_job_starts_no_thread(self, monkeypatch, tmp_path):
         series, _ = gen_dataset(CFG, 300)
         pool = build_features(series, SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
         test = build_features(series[:20], SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
-        blocks, threads = [], []
+        log = tmp_path / "blocks"
         real_forward = models._forward
 
         def counting_forward(spec, params, x, trace):
             if trace is None:
-                blocks.append(len(x))
-                threads.append(threading.active_count())
+                record(log, os.getpid(), len(x), threading.active_count())
             return real_forward(spec, params, x, trace)
 
         monkeypatch.setattr(models, "_forward", counting_forward)
         monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
         before = threading.active_count()
         run_cv(LOGREG, pool, test, Hyper(epochs=1, batch_size=50), k=2, runs_per_fold=2)
-        assert 128 in blocks  # each validation of 150 rows scores two blocks
-        # the caller and one pool thread run the jobs; neither starts another
-        assert max(threads) == before + 1
+        seen = records(log)
+        assert "128" in {size for _, size, _ in seen}  # each validation of 150 rows scores two blocks
+        # the caller and one worker run the jobs; neither starts a thread or
+        # another worker
+        pids = {pid for pid, _, _ in seen}
+        assert str(os.getpid()) in pids and len(pids) == 2
+        assert {int(threads) for _, _, threads in seen} == {before}
 
     def test_each_step_frees_its_trace_before_the_next_forward(self, pool_and_test, monkeypatch):
         pool, _ = pool_and_test
@@ -610,7 +617,7 @@ class TestRunCV:
         assert len(calls) == 2 * -(-len(tr) // 4)
         assert all(calls), f"a trace outlived its step at forward call {calls.index(False)}"
 
-    def test_no_job_copies_fold_rows(self, cv, pool_and_test, monkeypatch):
+    def test_no_job_copies_fold_rows(self, cv, pool_and_test, monkeypatch, tmp_path):
         # every job, and the test evaluation, selects rows of the X that
         # build_features returned, also when the pool is not in id order
         report, _ = cv
@@ -618,20 +625,21 @@ class TestRunCV:
         order = np.random.default_rng(4).permutation(len(pool.series))
         assert order.tolist() != sorted(order.tolist())
         shuffled = build_features([pool.series[i] for i in order], SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
-        seen = []
+        log = tmp_path / "selections"
         real_train_one, real_evaluate = training.train_one, training.evaluate
+        # a job in a worker compares with the worker's copy of pool_batch,
+        # which has the caller's object identities
         monkeypatch.setattr(training, "train_one", lambda spec, fit, val, *rest: (
-            seen.append(("job", fit.X, val.X)) or real_train_one(spec, fit, val, *rest)))
+            record(log, "job", fit.X is pool_batch.X and val.X is pool_batch.X)
+            or real_train_one(spec, fit, val, *rest)))
         monkeypatch.setattr(training, "evaluate", lambda spec, params, data: (
-            seen.append(("test", data.X)) or real_evaluate(spec, params, data)))
+            record(log, "test", data.X is test.X) or real_evaluate(spec, params, data)))
         for pool_batch in (pool, shuffled):
-            seen.clear()
+            log.unlink(missing_ok=True)
             again, _ = run_cv(LOGREG, pool_batch, test, CV_HYPER, k=5, runs_per_fold=2, base_seed=11)
-            jobs = [arrays for kind, *arrays in seen if kind == "job"]
-            tests = [arrays for kind, *arrays in seen if kind == "test"]
-            assert len(jobs) == 5 * 2 and len(tests) == 5
-            assert all(X is pool_batch.X for arrays in jobs for X in arrays)
-            assert all(X is test.X for (X,) in tests)
+            seen = records(log)
+            assert sorted(kind for kind, _ in seen) == ["job"] * 10 + ["test"] * 5
+            assert all(selects == "True" for _, selects in seen)
             assert report_to_json(again) == report_to_json(report)
 
     def test_summary_lines(self, cv):
@@ -765,7 +773,7 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("n", [129, 257, 300])
     @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
-    def test_equals_whole_fraction_sweep(self, sweep_corpora, monkeypatch, name, n):
+    def test_equals_whole_fraction_sweep(self, sweep_corpora, monkeypatch, tmp_path, name, n):
         spec = SWEEP_SPECS[name]
         series, schema = sweep_corpora[
             "elapsed_regression" if spec.task == "regression" else "timing_classification"]
@@ -775,17 +783,17 @@ class TestStreamedSweep:
         selected = {f: init_params(spec, width, [5, f]) for f in (0, 2)}
         args = (spec, selected, test_series, schema, SWEEP_WINDOW, 1.0)
         fractions = (1.0, 0.6, 0.3)
-        blocks = []
+        log = tmp_path / "blocks"
         real_forward = models._forward
-        monkeypatch.setattr(models, "_forward", lambda *a: blocks.append(len(a[2])) or real_forward(*a))
+        monkeypatch.setattr(models, "_forward", lambda *a: record(log, len(a[2])) or real_forward(*a))
         want = whole_fraction_sweep(*args, fractions, 4)
         assert len(want) == len(fractions) * (3 if spec.task == "regression" else 2)
-        want_blocks = sorted(blocks)
+        want_blocks = sorted(records(log))
         for cpus in (1, 2, 3):
             monkeypatch.setattr(models, "_usable_cpus", lambda c=cpus: c)
-            blocks.clear()
+            log.unlink()
             assert sweep_dropout(*args, fractions=fractions, base_seed=4) == want, cpus
-            assert sorted(blocks) == want_blocks, cpus
+            assert sorted(records(log)) == want_blocks, cpus
 
     def test_peak_memory_below_one_fraction_of_features(self, monkeypatch):
         cfg = SynthConfig(n_channels=18, rate_per_hour=0.5, window_hours=48.0,
@@ -802,5 +810,5 @@ class TestStreamedSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # each thread's 128-episode block peaks at about 9 MiB inside bin_series
+        # the caller's 128-episode blocks peak at about 9 MiB inside bin_series
         assert peak < one_fraction_x, (peak, one_fraction_x)
