@@ -23,9 +23,8 @@ and seed. Each config section has one table below, read by
 dataclass section takes its keys and defaults from its fields and leaves
 the checks to its constructor. Flags are merged into the config first, so
 a flag value is checked as its config entry is. The train command runs its
-fold-by-run grid on a process per CPU the process may use (workers fork on
-Linux from a process of one thread, so with OPENBLAS_NUM_THREADS=1;
-otherwise it trains serially); its outputs do not depend on that count.
+fold-by-run grid through ``models.fan_out`` (see there for when workers
+fork and the BLAS-thread rule); its outputs do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -406,8 +405,8 @@ def cmd_encode(args) -> int:
     _refuse_existing(out_path, args.force)
 
     with open_text(input_path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        lines = fh.read().split("\n")  # \r\n and \r read as \n; splitlines would also split at \f, \x85, ...
+    if lines == [""]:
         raise CliError(f"{input_path} is empty; expected a header row")
     header = lines[0]
     if "," in header:

@@ -160,8 +160,6 @@ def te_batch(times, cfg: EncoderConfig) -> np.ndarray:
     arr = np.asarray(times, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"times must be a 1-d vector, got shape {arr.shape}")
-    if arr.size == 0:
-        return np.empty((0, cfg.dim), dtype=np.float64)
     bad = ~np.isfinite(arr)
     if bad.any():
         row = int(np.argmax(bad))
@@ -170,7 +168,7 @@ def te_batch(times, cfg: EncoderConfig) -> np.ndarray:
     if neg.any():
         row = int(np.argmax(neg))
         raise ValueError(f"times[{row}] is negative: {arr[row]!r}")
-    _warn_if_aliasing(float(arr.max()), cfg)
+    _warn_if_aliasing(float(arr.max(initial=0.0)), cfg)
     return _encode(arr, cfg)
 
 

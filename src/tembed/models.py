@@ -37,7 +37,6 @@ here treat them as immutable.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import pickle
@@ -496,20 +495,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# Set while fan_out runs items: a fan_out they call runs its items in place.
-_IN_FAN_OUT = contextvars.ContextVar("tembed_in_fan_out", default=False)
-
-
 def fan_out(fn, items: list) -> list:
     """``[fn(item) for item in items]`` on a process per usable CPU.
 
     The items are dealt out in contiguous groups, one per CPU but no more
-    than there are items. The caller runs the first group; each other group
+    than there are items; ``_usable_cpus`` allows one group only, unless
+    the process runs on Linux with one thread (OPENBLAS_NUM_THREADS=1 keeps
+    numpy's BLAS to it). The caller runs the first group; each other group
     runs in a worker forked for this call, which inherits the inputs and
     numpy's error state (np.errstate) copy-on-write and sends back its
-    results, or its first failure, pickled through a pipe. Items run in
-    place, with no worker, when there is one group or when a fan_out's item
-    calls fan_out, so that the CPUs are not oversubscribed.
+    results, or its first failure, pickled through a pipe. With one group
+    the items run in place, with no worker.
 
     The results come back in item order. When items fail, the first one in
     item order raises: a failure stops its group, and every group after it
@@ -520,9 +516,8 @@ def fan_out(fn, items: list) -> list:
     naming the worker's items. Every worker is reaped before fan_out
     returns or raises.
     """
-    n = max(min(1 if _IN_FAN_OUT.get() else _usable_cpus(), len(items)), 1)
+    n = max(min(_usable_cpus(), len(items)), 1)
     bounds = [len(items) * g // n for g in range(n + 1)]
-    token = _IN_FAN_OUT.set(True)
     workers: list[_Worker] = []
     try:
         for a, b in zip(bounds[1:-1], bounds[2:]):
@@ -540,7 +535,6 @@ def fan_out(fn, items: list) -> list:
             results += reply
         return results
     finally:
-        _IN_FAN_OUT.reset(token)
         for worker in workers:
             worker.close()
 
@@ -563,21 +557,19 @@ class _Worker:
         os.close(write)
         self.fd = read
 
-    def receive(self) -> tuple:
-        """The reply, waiting for it; reaps the worker."""
-        if self.reply is None:
-            with open(self.fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            self.pid = None
-            self.close()
-            try:
-                self.reply = pickle.loads(data)
-            except Exception as exc:  # no reply, a cut one, or one that does not unpickle here
-                ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                self.reply = False, ChildProcessError(
-                    f"fan_out's worker for {self.name} sent no readable reply ({ended}; {exc!r})")
-        return self.reply
+    def receive(self) -> None:
+        """Wait for the reply and keep it; reaps the worker."""
+        with open(self.fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        self.close()
+        try:
+            self.reply = pickle.loads(data)
+        except Exception as exc:  # no reply, a cut one, or one that does not unpickle here
+            ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            self.reply = False, ChildProcessError(
+                f"fan_out's worker for {self.name} sent no readable reply ({ended}; {exc!r})")
 
     def close(self) -> None:
         """Kill the worker if it has not been reaped, reap it, close the pipe."""
@@ -648,13 +640,8 @@ def predict(spec: ModelSpec, params: dict, features, rows=None) -> np.ndarray:
     results are joined in row order; the first failing block raises.
     """
     x = _as_batch(features)
-
-    def run(block: tuple[int, int]) -> np.ndarray:
-        a, b = block
-        return _forward(spec, params, x[a:b] if rows is None else x[rows[a:b]], None)
-
-    blocks = row_blocks(len(x) if rows is None else len(rows))
-    return np.concatenate([run(block) for block in blocks])
+    return np.concatenate([_forward(spec, params, x[a:b] if rows is None else x[rows[a:b]], None)
+                           for a, b in row_blocks(len(x) if rows is None else len(rows))])
 
 
 def attention_penalty(A: np.ndarray, c: float) -> np.ndarray:

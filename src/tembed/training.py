@@ -20,11 +20,11 @@ Validation metrics: AUC-ROC for classification (higher is better), MAE on
 the day scale for regression (lower is better). Test metrics for
 regression are reported in hours.
 
-``run_cv`` trains the fold-by-run grid on a process per usable CPU through
-``models.fan_out`` (the caller and workers forked on Linux from a process
-of one thread; the caller alone otherwise) and merges the results in
-(fold, run) order, so the report does not depend on the CPU count; limit
-the process's CPUs (for example with ``taskset -c 0``) to train serially.
+``run_cv`` trains the fold-by-run grid through ``models.fan_out``, whose
+docstring says when it forks workers and why BLAS must run one thread,
+and merges the results in (fold, run) order, so the report does not
+depend on the CPU count; limit the process's CPUs (for example with
+``taskset -c 0``) to train serially.
 Scoring (``predict_scores``) goes through ``models.predict``, which runs
 in the calling process: the job's own process inside a job. Putting the
 episodes in id order and a job's folds select rows of the pool's X
@@ -333,11 +333,28 @@ def aggregate_stats(values) -> dict:
     }
 
 
+def _aggregate_metrics(per_model: list[dict[str, float]]) -> dict[str, dict]:
+    """``aggregate_stats`` of each metric over the models' metric dicts, by
+    metric name; each sample is in model order."""
+    names = sorted({name for metrics in per_model for name in metrics})
+    return {name: aggregate_stats([metrics[name] for metrics in per_model]) for name in names}
+
+
 def _in_id_order(batch: BinnedBatch, task: str) -> tuple[list[IrregularSeries], ArrayData]:
     """The batch's episodes and arrays, both sorted by episode id; the
     arrays select from the batch's X without copying it."""
     order = sorted(range(len(batch.series)), key=lambda i: batch.series[i].episode_id)
     return [batch.series[i] for i in order], prepare(batch, task).take(order)
+
+
+def _check_labels(y_pool: np.ndarray, fold_of: np.ndarray, k: int, y_test: np.ndarray) -> None:
+    """Refuse, before any training, a validation fold or a test set without
+    both labels: AUC-ROC and AP rank positives against negatives."""
+    for name, y in [(f"validation fold {f}", y_pool[fold_of == f]) for f in range(k)] + [("the test set", y_test)]:
+        for label in (1.0, 0.0):
+            if not (y == label).any():
+                raise ValueError(f"{name} has no episode labelled {label:g}; "
+                                 f"the pool has {int((y_pool == label).sum())} of {len(y_pool)}")
 
 
 def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
@@ -352,12 +369,15 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
     Episodes are taken in id order, fold membership depends only on
     (episode ids, labels, seed), and run (fold, run) is seeded by
     [base_seed, fold, run], so the report is byte-identical across
-    executions and input orderings.
+    executions and input orderings. A classification run whose validation
+    folds or test set lack a label raises ValueError before any training.
     """
     pool_series, pool_data = _in_id_order(pool, spec.task)
     _, test_data = _in_id_order(test, spec.task)
     stratify = spec.task == "classification"
     fold_of = split_folds(pool_series, k, [base_seed, _FOLD_SALT], stratify=stratify)
+    if stratify:
+        _check_labels(pool_data.y, fold_of, k, test_data.y)
 
     jobs = [(f, r) for f in range(k) for r in range(runs_per_fold)]
 
@@ -392,18 +412,11 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
         best_row["selected"] = True
         selected_params[f] = best_row["_params"]
 
-    metric_values: dict[str, list[float]] = {}
     for row in rows:
         params = row.pop("_params", None)
         row.setdefault("selected", False)
-        if row["selected"]:
-            row["test_metrics"] = evaluate(spec, params, test_data)
-            for name, value in row["test_metrics"].items():
-                metric_values.setdefault(name, []).append(value)
-        else:
-            row["test_metrics"] = None
-
-    aggregate = {name: aggregate_stats(values) for name, values in sorted(metric_values.items())}
+        row["test_metrics"] = evaluate(spec, params, test_data) if row["selected"] else None
+    aggregate = _aggregate_metrics([row["test_metrics"] for row in rows if row["selected"]])
 
     report = {
         "model": alias(spec),
@@ -478,13 +491,9 @@ def sweep_dropout(spec: ModelSpec, selected_params: dict[int, dict],
     rows = []
     for fi, fraction in enumerate(fractions):
         blocks = scored[fi :: len(fractions)]  # this fraction's blocks in row order
-        per_metric: dict[str, list[float]] = {}
-        for m in range(len(folds)):
-            scores = np.concatenate([block[m] for block in blocks])
-            for name, value in _test_metrics(spec.task, y, scores).items():
-                per_metric.setdefault(name, []).append(value)
-        for name, values in sorted(per_metric.items()):
-            stats = aggregate_stats(values)
+        per_model = [_test_metrics(spec.task, y, np.concatenate([block[m] for block in blocks]))
+                     for m in range(len(folds))]
+        for name, stats in _aggregate_metrics(per_model).items():
             rows.append({"model": alias(spec), "fraction": float(fraction), "metric": name,
                          "value": stats["mean"], "std": stats["std"]})
     return rows

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from tembed import cli
+from tembed import cli, training
 from tembed.cli import main
 from tembed.dataset import load_csv, load_schema
 from tembed.encoding import EncoderConfig, te_batch
@@ -158,6 +159,25 @@ class TestTrain:
         assert len(experiment["test_ids"]) == 6
         assert experiment["selected_folds"] == [0, 1]
         assert "per_channel" in experiment["norm_stats"] or experiment["norm_stats"]
+
+    @pytest.mark.parametrize("k,test_fraction,problem", [
+        (5, 0.2, r"validation fold \d has no episode labelled 1; the pool has 2 of 48"),
+        (2, 0.01, r"the test set has no episode labelled 1; the pool has 3 of 59"),
+    ])
+    def test_refuses_a_split_without_both_labels_before_training(self, tmp_path, capsys, monkeypatch,
+                                                                 k, test_fraction, problem):
+        # 5 % positive: 3 positive episodes of 60
+        synth = {"n_channels": 1, "rate_per_hour": 0.5, "window_hours": 48.0,
+                 "gap_threshold_hours": 14.0, "rng_seed": 0}
+        out = str(tmp_path / "run")
+        cfg = write_config(tmp_path, {
+            **TRAIN_CONFIG, "data": {"synth": synth, "n_episodes": 60}, "features": {"window": 48.0},
+            "train": {"epochs": 1, "k": k, "runs_per_fold": 1}, "test_fraction": test_fraction, "out": out})
+        monkeypatch.setattr(training, "train_one", lambda *a: pytest.fail("a training started"))
+        code, _, stderr = run(["train", "--config", cfg], capsys)
+        assert code == 1
+        assert re.fullmatch(f"error: {problem}\n", stderr), stderr
+        assert not os.path.exists(out)
 
     def test_deterministic_across_runs(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "again")
@@ -570,6 +590,15 @@ class TestEncode:
         code, _, stderr = run(["encode", "--input", inp, "--out", out, "--max-time", "48"], capsys)
         assert code == 1
         assert stderr == f"error: line 4: timestamp {raw!r} {problem}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_splits_only_at_line_ends(self, tmp_path, capsys, sep):
+        inp = self.write_times(tmp_path, [f"0.5{sep}1.5"])
+        out = str(tmp_path / "o.csv")
+        code, _, stderr = run(["encode", "--input", inp, "--out", out, "--max-time", "48"], capsys)
+        assert code == 1
+        assert stderr == f"error: line 2: timestamp {'0.5' + sep + '1.5'!r} is not a number\n"
         assert not os.path.exists(out)
 
     def test_undecodable_input_is_named(self, tmp_path, capsys):

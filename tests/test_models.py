@@ -425,22 +425,36 @@ class TestPredict:
         assert sorted(pid for (pid,) in records(log)) == sorted([str(os.getpid())] * 3 + [str(worker)] * 3)
         assert all(same_bits(got, want) for got, _ in results)
 
-    def test_fan_out_keeps_item_order_and_marks_only_its_groups(self, monkeypatch):
+    def test_fan_out_keeps_item_order_in_contiguous_groups(self, monkeypatch):
         monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
 
         def job(i):
-            return i * i, os.getpid(), models._IN_FAN_OUT.get()
+            return i * i, os.getpid()
 
         got = models.fan_out(job, list(range(7)))
-        assert [square for square, _, _ in got] == [i * i for i in range(7)]
-        assert all(inside for _, _, inside in got)
-        assert not models._IN_FAN_OUT.get()
+        assert [square for square, _ in got] == [i * i for i in range(7)]
         # contiguous groups: [0, 1], [2, 3], [4, 5, 6], the first in the caller
-        pids = [pid for _, pid, _ in got]
+        pids = [pid for _, pid in got]
         assert pids[0] == pids[1] == os.getpid()
         assert pids[2] == pids[3] not in (pids[0], pids[4])
         assert pids[4] == pids[5] == pids[6] != pids[0]
         assert models.fan_out(job, []) == []
+
+    def test_an_item_that_calls_fan_out_gets_workers_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+
+        def job(i):
+            return os.getpid(), models.fan_out(lambda j: (10 * i + j, os.getpid()), list(range(3)))
+
+        got = models.fan_out(job, list(range(4)))
+        assert [value for _, inner in got for value, _ in inner] == [10 * i + j for i in range(4) for j in range(3)]
+        # groups [0, 1] in the caller and [2, 3] in a worker; each item's own
+        # call runs its item 0 where the item runs and [1, 2] in a worker of its own
+        outer = [pid for pid, _ in got]
+        assert outer[0] == outer[1] == os.getpid() != outer[2] == outer[3]
+        for pid, inner in got:
+            pids = [p for _, p in inner]
+            assert pids[0] == pid and pids[1] == pids[2] not in outer
 
     def test_a_failing_item_stops_the_other_groups(self, monkeypatch, tmp_path):
         monkeypatch.setattr(models, "_usable_cpus", lambda: 2)

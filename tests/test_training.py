@@ -642,6 +642,28 @@ class TestRunCV:
             assert all(selects == "True" for _, selects in seen)
             assert report_to_json(again) == report_to_json(report)
 
+    @pytest.mark.parametrize("label", [1.0, 0.0])
+    def test_refuses_a_validation_fold_without_a_label_before_training(self, pool_and_test, monkeypatch, label):
+        pool, test = pool_and_test
+        # one episode of the label in the pool: one of the two folds has none
+        series = [dataclasses.replace(s, label=label if i == 0 else 1.0 - label) for i, s in enumerate(pool.series)]
+        one_of_label = build_features(series, SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
+        monkeypatch.setattr(training, "train_one", lambda *a: pytest.fail("a training started"))
+        with pytest.raises(ValueError, match=rf"^validation fold [01] has no episode labelled {label:g}; "
+                                             r"the pool has 1 of 20$"):
+            run_cv(LOGREG, one_of_label, test, CV_HYPER, k=2, runs_per_fold=1)
+
+    @pytest.mark.parametrize("label", [1.0, 0.0])
+    def test_refuses_a_test_set_without_a_label_before_training(self, pool_and_test, monkeypatch, label):
+        pool, test = pool_and_test
+        in_pool = int((prepare(pool, "classification").y == label).sum())
+        one_label = [dataclasses.replace(s, label=1.0 - label) for s in test.series]
+        test = build_features(one_label, SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
+        monkeypatch.setattr(training, "train_one", lambda *a: pytest.fail("a training started"))
+        with pytest.raises(ValueError, match=rf"^the test set has no episode labelled {label:g}; "
+                                             rf"the pool has {in_pool} of 20$"):
+            run_cv(LOGREG, pool, test, CV_HYPER, k=2, runs_per_fold=1)
+
     def test_summary_lines(self, cv):
         report, _ = cv
         lines = report_summary_lines(report)
