@@ -71,10 +71,12 @@ from .dataset import (
 from .encoding import EncoderConfig, _check_window, te_batch
 from .models import (
     _ENCODED_MODES,
+    TASKS,
     AttentionSpec,
     ModelSpec,
     _layout,
     alias,
+    check_task,
     load_params,
     model_input_width,
     save_params,
@@ -139,7 +141,7 @@ def _fold_numbers(name: str, folds) -> list[int]:
 # One table per config section, {key: (default, check)}; see _util.check_section.
 GEN = {"synth": (REQUIRED, partial(from_object, SynthConfig)), "n_episodes": (REQUIRED, COUNT), "out": (_NO_OUT, PATH)}
 # data, model, features and train are sections with tables of their own
-TRAIN = {"data": (REQUIRED, None), "task": (None, None), "model": (REQUIRED, None), "features": (None, None),
+TRAIN = {"data": (REQUIRED, None), "task": (REQUIRED, check_task), "model": (REQUIRED, None), "features": (None, None),
          "train": (None, None), "test_fraction": (0.2, partial(check_real, low=0, strict=True, below=1)),
          "seed": (0, SEED), "out": (_NO_OUT, PATH)}
 DATA = {"synth": (None, partial(from_object, SynthConfig)), "n_episodes": (None, COUNT),
@@ -252,10 +254,12 @@ def cmd_train(args) -> int:
     protocol = check_section("train", config.get("train", {}), PROTOCOL, problems, _protocol)
     # a bad window is listed already; the model takes the default one but is not checked against it
     window = features["window"] if features else FEATURES["window"][0]
+    # so is a bad or missing task; the model is checked as a classifier's
+    task = config["task"] if config.get("task") in TASKS else TASKS[0]
     spec = data = None  # an absent section is listed above, as a missing key
     if "model" in config:
         spec = check_section("model", config["model"], {**MODEL, "te_max_time": (window, None)}, problems,
-                             partial(_model_spec, config.get("task"), window if features else None))
+                             partial(_model_spec, task, window if features else None))
     if "data" in config:
         data = check_section("data", config["data"], DATA, problems)
     paths = _data_files(data, problems) if data is not None else {}

@@ -30,7 +30,7 @@ buffer. ``predict`` returns what ``forward`` returns without its trace: it
 runs blocks of rows in the calling process, and without a trace the LSTM
 keeps one step of its gate and cell buffers instead of every step.
 ``fan_out`` runs a list of items, training jobs or sweep blocks, on a
-process per usable CPU.
+forked ``multiprocessing`` process per usable CPU.
 Parameters live in plain dicts of named float64 arrays; all functions
 here treat them as immutable.
 """
@@ -38,10 +38,8 @@ here treat them as immutable.
 from __future__ import annotations
 
 import math
+import multiprocessing.connection
 import os
-import pickle
-import select
-import signal
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -87,6 +85,13 @@ class AttentionSpec:
         check_real("penalty_c", self.penalty_c, 0, strict=False)
 
 
+def check_task(name: str, value) -> str:
+    """``value``, once it is one of ``TASKS``."""
+    if value not in TASKS:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, TASKS))}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture family, sizes, input regime, and task."""
@@ -103,8 +108,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.task not in TASKS:
-            raise ValueError(f"task must be {' or '.join(map(repr, TASKS))}, got {self.task!r}")
+        check_task("task", self.task)
         if self.te_mode not in TE_MODES:
             raise ValueError(f"te_mode must be one of {TE_MODES}, got {self.te_mode!r}")
         check_int("hidden", self.hidden, 1 if self.recurrent else 0)
@@ -502,10 +506,11 @@ def fan_out(fn, items: list) -> list:
     than there are items; ``_usable_cpus`` allows one group only, unless
     the process runs on Linux with one thread (OPENBLAS_NUM_THREADS=1 keeps
     numpy's BLAS to it). The caller runs the first group; each other group
-    runs in a worker forked for this call, which inherits the inputs and
-    numpy's error state (np.errstate) copy-on-write and sends back its
-    results, or its first failure, pickled through a pipe. With one group
-    the items run in place, with no worker.
+    runs in a fork-context ``multiprocessing.Process`` started for this call,
+    which inherits the inputs and numpy's error state (np.errstate)
+    copy-on-write and sends back its results, or its first failure, through
+    a ``Pipe``. The caller flushes stdout and stderr before each fork; a
+    worker's stdin is /dev/null. With one group the items run in place.
 
     The results come back in item order. When items fail, the first one in
     item order raises: a failure stops its group, and every group after it
@@ -526,7 +531,7 @@ def fan_out(fn, items: list) -> list:
         for item in items[: bounds[1]]:
             _take_replies(workers, 0)
             results.append(fn(item))
-        while any(worker.pid is not None for worker in workers):
+        while any(worker.process is not None for worker in workers):
             _take_replies(workers, None)
         for worker in workers:  # one killed is after a failed one, which raises first
             ok, reply = worker.reply
@@ -540,79 +545,77 @@ def fan_out(fn, items: list) -> list:
 
 
 class _Worker:
-    """A forked child that runs one contiguous group of ``fan_out``'s items
-    and replies through a pipe: (True, results) or (False, first failure)."""
+    """A forked ``multiprocessing`` process that runs one contiguous group of
+    ``fan_out``'s items and replies through a one-way pipe: (True, results)
+    or (False, first failure). It is no daemon, as an item may fan out too."""
 
     def __init__(self, fn, group: list, name: str):
+        context = multiprocessing.get_context("fork")  # here, not at import: Windows has no fork
         self.name, self.reply = name, None
-        read, write = os.pipe()
+        self.conn, send = context.Pipe(duplex=False)
+        self.process = context.Process(target=_serve, args=(fn, group, send, name))
+        opened = _open_fds()
         try:
-            self.pid = os.fork()
-        except OSError:  # no process to run the group
-            os.close(read)
-            os.close(write)
+            self.process.start()
+        except OSError:  # no process to run the group; the launcher leaves its own pipes open
+            self.conn.close()
+            for fd in _open_fds() - opened:
+                os.close(int(fd))
             raise
-        if self.pid == 0:
-            _serve(fn, group, write, name)  # does not return
-        os.close(write)
-        self.fd = read
+        finally:
+            send.close()
 
     def receive(self) -> None:
         """Wait for the reply and keep it; reaps the worker."""
-        with open(self.fd, "rb", closefd=False) as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        self.close()
         try:
-            self.reply = pickle.loads(data)
+            self.reply = self.conn.recv()
         except Exception as exc:  # no reply, a cut one, or one that does not unpickle here
+            self.process.join()
+            code = self.process.exitcode
             ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             self.reply = False, ChildProcessError(
                 f"fan_out's worker for {self.name} sent no readable reply ({ended}; {exc!r})")
+        self.close()
 
     def close(self) -> None:
-        """Kill the worker if it has not been reaped, reap it, close the pipe."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
+        """Reap the worker, killed first unless it has replied, and close its
+        pipe; closing it again does nothing."""
+        if self.process is None:
+            return
+        if self.reply is None:
+            self.process.kill()
+        self.process.join()
+        self.process.close()  # join leaves the launcher's sentinel pipe open
+        self.process = None
+        self.conn.close()
 
 
-def _serve(fn, group: list, fd: int, name: str) -> None:
-    """A worker's whole life: run the group, send the reply, and leave with
-    ``os._exit``, so that none of the caller's cleanup runs twice."""
-    code = 1
+def _open_fds() -> set[str]:
+    """This process's open file descriptors, less the listing's own."""
+    return {fd for fd in os.listdir("/proc/self/fd") if os.path.exists(f"/proc/self/fd/{fd}")}
+
+
+def _serve(fn, group: list, send, name: str) -> None:
+    """A worker's whole life: run the group and send the reply; the fork
+    launcher then leaves with ``os._exit``, so no cleanup of the caller's runs twice."""
     try:
-        try:
-            reply = True, [fn(item) for item in group]
-        except BaseException as exc:  # the caller raises it
-            reply = False, exc
-        try:
-            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            what = "results" if reply[0] else f"{type(reply[1]).__name__}: {reply[1]}"
-            failure = ChildProcessError(f"fan_out's worker for {name} cannot send its {what} ({exc})")
-            data = pickle.dumps((False, failure))
-        with open(fd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+        reply = True, [fn(item) for item in group]
+    except BaseException as exc:  # the caller raises it
+        reply = False, exc
+    try:
+        send.send(reply)
+    except Exception as exc:  # pickling fails before anything is written
+        what = "results" if reply[0] else f"{type(reply[1]).__name__}: {reply[1]}"
+        send.send((False, ChildProcessError(f"fan_out's worker for {name} cannot send its {what} ({exc})")))
 
 
-def _take_replies(workers: list[_Worker], timeout: int | None) -> None:
-    """Take the replies sent within ``timeout`` ms (None: wait for one);
+def _take_replies(workers: list[_Worker], timeout: float | None) -> None:
+    """Take the replies sent within ``timeout`` seconds (None: wait for one);
     kill the workers after the first failed one, as none of their items can
     fail first in item order."""
-    waiting, poller = {w.fd: w for w in workers if w.pid is not None}, select.poll()
-    for fd in waiting:
-        poller.register(fd, select.POLLIN)
-    for fd, _ in poller.poll(timeout):
-        waiting[fd].receive()
+    waiting = {w.conn: w for w in workers if w.process is not None}
+    for conn in multiprocessing.connection.wait(list(waiting), timeout):
+        waiting[conn].receive()
     failed = [i for i, w in enumerate(workers) if w.reply is not None and not w.reply[0]]
     for worker in workers[failed[0] + 1 :] if failed else []:
         worker.close()

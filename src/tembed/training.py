@@ -20,11 +20,11 @@ Validation metrics: AUC-ROC for classification (higher is better), MAE on
 the day scale for regression (lower is better). Test metrics for
 regression are reported in hours.
 
-``run_cv`` trains the fold-by-run grid through ``models.fan_out``, whose
-docstring says when it forks workers and why BLAS must run one thread,
-and merges the results in (fold, run) order, so the report does not
-depend on the CPU count; limit the process's CPUs (for example with
-``taskset -c 0``) to train serially.
+``run_cv`` trains the fold-by-run grid through ``models.fan_out``, on
+forked ``multiprocessing`` workers (its docstring says when they fork and
+why BLAS must run one thread), and merges the results in (fold, run)
+order, so the report does not depend on the CPU count; limit the process's
+CPUs (for example with ``taskset -c 0``) to train serially.
 Scoring (``predict_scores``) goes through ``models.predict``, which runs
 in the calling process: the job's own process inside a job. Putting the
 episodes in id order and a job's folds select rows of the pool's X
@@ -203,12 +203,13 @@ def _labels(series_list, task: str) -> np.ndarray:
         labels.append(float(s.label))
     y = np.asarray(labels)
     if task == "classification":
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValueError("classification labels must be 0 or 1")
-        return y
-    if (y < 0).any():
-        raise ValueError("labels must be >= 0")
-    return y / HOURS_PER_DAY
+        bad, rule = ~np.isin(y, (0.0, 1.0)), "classification labels must be 0 or 1"
+    else:
+        bad, rule = y < 0, "labels must be >= 0"
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise ValueError(f"episode {series_list[first].episode_id!r} has label {y[first]:g}; {rule}")
+    return y if task == "classification" else y / HOURS_PER_DAY
 
 
 def prepare(batch: BinnedBatch, task: str) -> ArrayData:
@@ -347,9 +348,16 @@ def _in_id_order(batch: BinnedBatch, task: str) -> tuple[list[IrregularSeries], 
     return [batch.series[i] for i in order], prepare(batch, task).take(order)
 
 
-def _check_labels(y_pool: np.ndarray, fold_of: np.ndarray, k: int, y_test: np.ndarray) -> None:
+def _check_labels(task: str, y_pool: np.ndarray, fold_of: np.ndarray, k: int, y_test: np.ndarray) -> None:
     """Refuse, before any training, a validation fold or a test set without
-    both labels: AUC-ROC and AP rank positives against negatives."""
+    both labels, as AUC-ROC and AP rank positives against negatives, and a
+    regression test set of one label value, as explained variance divides by
+    the labels' variance."""
+    if task == "regression":
+        if (y_test == y_test[0]).all():
+            raise ValueError(f"the test set has {len(y_test)} episode(s), each labelled "
+                             f"{y_test[0] * HOURS_PER_DAY:g} hours; explained variance needs two label values")
+        return
     for name, y in [(f"validation fold {f}", y_pool[fold_of == f]) for f in range(k)] + [("the test set", y_test)]:
         for label in (1.0, 0.0):
             if not (y == label).any():
@@ -370,14 +378,13 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
     (episode ids, labels, seed), and run (fold, run) is seeded by
     [base_seed, fold, run], so the report is byte-identical across
     executions and input orderings. A classification run whose validation
-    folds or test set lack a label raises ValueError before any training.
+    folds or test set lack a label, and a regression run whose test set has
+    one label value, raise ValueError before any training.
     """
     pool_series, pool_data = _in_id_order(pool, spec.task)
     _, test_data = _in_id_order(test, spec.task)
-    stratify = spec.task == "classification"
-    fold_of = split_folds(pool_series, k, [base_seed, _FOLD_SALT], stratify=stratify)
-    if stratify:
-        _check_labels(pool_data.y, fold_of, k, test_data.y)
+    fold_of = split_folds(pool_series, k, [base_seed, _FOLD_SALT], stratify=spec.task == "classification")
+    _check_labels(spec.task, pool_data.y, fold_of, k, test_data.y)
 
     jobs = [(f, r) for f in range(k) for r in range(runs_per_fold)]
 
@@ -405,10 +412,8 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
         fold_rows = [row for row in rows if row["fold"] == f and row["status"] == "ok"]
         if not fold_rows:
             continue
-        best_row = fold_rows[0]
-        for row in fold_rows[1:]:
-            if _is_better(spec.task, row["val_metric"], best_row["val_metric"]):
-                best_row = row
+        # max and min keep the first of equal metrics, as _is_better does
+        best_row = (max if spec.task == "classification" else min)(fold_rows, key=lambda row: row["val_metric"])
         best_row["selected"] = True
         selected_params[f] = best_row["_params"]
 

@@ -227,6 +227,31 @@ class TestTrain:
         assert code == 1
         assert "task must be 'classification' or 'regression'" in stderr
 
+    @pytest.mark.parametrize("task,problem", [
+        (None, "top level: missing keys ['task']"),
+        ("ranking", "task must be 'classification' or 'regression', got 'ranking'"),
+    ], ids=["missing", "unknown"])
+    def test_a_bad_task_is_listed_once_at_the_top_level(self, tmp_path, capsys, task, problem):
+        config = {key: value for key, value in TRAIN_CONFIG.items() if key != "task"}
+        cfg = write_config(tmp_path, dict(config, out=str(tmp_path / "o"), **({"task": task} if task else {})))
+        code, _, stderr = run(["train", "--config", cfg], capsys)
+        assert code == 1
+        assert stderr == f"error: config problems:\n  {problem}\n"
+
+    def test_refuses_a_regression_test_set_of_one_label_before_training(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "o")
+        cfg = write_config(tmp_path, {
+            "data": {"synth": {"n_channels": 1, "task": "elapsed_regression"}, "n_episodes": 12},
+            "task": "regression", "model": {"family": "linreg"},
+            "train": {"epochs": 1, "k": 2, "runs_per_fold": 1}, "test_fraction": 0.05, "out": out,
+        })
+        monkeypatch.setattr(training, "train_one", lambda *a: pytest.fail("a training started"))
+        code, _, stderr = run(["train", "--config", cfg], capsys)
+        assert code == 1
+        assert re.fullmatch(r"error: the test set has 1 episode\(s\), each labelled [0-9.]+ hours; "
+                            r"explained variance needs two label values\n", stderr)
+        assert not os.path.exists(out)
+
     def test_missing_dataset_files(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

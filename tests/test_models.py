@@ -1,5 +1,6 @@
 """Model specs, initialization, counting, forward/backward, persistence."""
 
+import errno
 import math
 import os
 import signal
@@ -425,6 +426,147 @@ class TestPredict:
         assert sorted(pid for (pid,) in records(log)) == sorted([str(os.getpid())] * 3 + [str(worker)] * 3)
         assert all(same_bits(got, want) for got, _ in results)
 
+    def test_import_starts_no_thread(self):
+        code = "import threading, tembed.cli; print(threading.active_count())"
+        # the child imports the package under test, wherever pytest found it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "1"
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("no pickling")
+
+
+class TwoArgs(Exception):
+    """Pickles, but does not unpickle: its one stored arg misses ``b``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+# how a fan_out call ends: what it raises, and a pattern of the message
+FAN_OUT_ENDINGS = {
+    "success": (None, None),
+    "worker_raises": (KeyError, "item 4"),
+    "caller_raises": (KeyError, "item 1"),
+    "interrupt": (KeyboardInterrupt, None),
+    "worker_killed": (ChildProcessError, r"worker for items 3-5 .*killed by signal 9"),
+    "unpicklable": (ChildProcessError, r"worker for items 3-5 cannot send its Unpicklable: item 4"),
+    "unreadable": (ChildProcessError, r"worker for items 3-5 sent no readable reply .*TypeError"),
+}
+
+
+def end_fan_out(monkeypatch, case):
+    """A fan_out call of 6 items on 2 CPUs that ends as ``case`` of
+    ``FAN_OUT_ENDINGS`` says, within 15 s."""
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    raised, match = FAN_OUT_ENDINGS[case]
+
+    def job(i):
+        # groups [0, 1, 2] in the caller and [3, 4, 5] in a worker
+        if case == "worker_raises" and i == 4:
+            raise KeyError("item 4")
+        if case == "caller_raises" and i == 1:
+            raise KeyError("item 1")
+        if case == "interrupt" and i == 1:
+            raise KeyboardInterrupt
+        if case == "worker_killed" and i == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if case == "unpicklable" and i == 4:
+            raise Unpicklable("item 4")
+        if case == "unreadable" and i == 4:
+            raise TwoArgs("item", 4)
+        if case in ("caller_raises", "interrupt") and i >= 3:
+            time.sleep(30)  # killed, not waited for
+        return i
+
+    begun = time.monotonic()
+    if raised is None:
+        assert models.fan_out(job, list(range(6))) == list(range(6))
+    else:
+        with pytest.raises(raised, match=match):
+            models.fan_out(job, list(range(6)))
+    assert time.monotonic() - begun < 15
+
+
+class TestFanOutWorkers:
+    """The workers ``fan_out`` forks: however a call ends, it has reaped
+    them all and closed their pipes; it forks none from a process that runs
+    a second thread, and none where there is no fork."""
+
+    @pytest.mark.parametrize("case", list(FAN_OUT_ENDINGS))
+    def test_no_worker_outlives_the_call(self, monkeypatch, case):
+        end_fan_out(monkeypatch, case)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
+    @pytest.mark.parametrize("case", list(FAN_OUT_ENDINGS))
+    def test_no_file_descriptor_outlives_the_call(self, monkeypatch, case):
+        before = len(os.listdir("/proc/self/fd"))
+        end_fan_out(monkeypatch, case)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
+    def test_a_failed_fork_reaps_the_workers_before_it(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "no second worker")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = len(os.listdir("/proc/self/fd"))
+        # groups [0, 1] in the caller, [2, 3] in the first worker; [4, 5] get none
+        with pytest.raises(OSError, match="no second worker"):
+            models.fan_out(lambda i: i, list(range(6)))
+        assert len(forks) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_runs_in_place_where_there_is_no_fork(self):
+        # as on Windows, where get_context("fork") raises ValueError
+        code = ("import multiprocessing\n"
+                "def no_fork(method=None): raise ValueError(f'cannot find context for {method!r}')\n"
+                "multiprocessing.get_context = no_fork\n"
+                "from tembed import models\n"
+                "models._usable_cpus = lambda: 1\n"
+                "print(models.fan_out(lambda i: i * i, [1, 2, 3]), models.fan_out(abs, [-4]))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[1, 4, 9] [4]"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
+    def test_forks_only_from_a_process_of_one_thread(self):
+        # a process whose BLAS pool runs on one thread runs one thread
+        code = "from tembed import models; print(models._usable_cpus())"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert int(out.stdout) == len(os.sched_getaffinity(0))
+        # with a second thread running, every item runs in the caller
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert models._usable_cpus() == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
     def test_fan_out_keeps_item_order_in_contiguous_groups(self, monkeypatch):
         monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
 
@@ -561,98 +703,7 @@ class TestPredict:
         assert time.monotonic() - begun < 15
         assert sorted(int(i) for (i,) in records(tmp_path / "ran")) == [0, 1, 2, 3, 4, 6]
 
-    def test_import_starts_no_thread(self):
-        code = "import threading, tembed.cli; print(threading.active_count())"
-        # the child imports the package under test, wherever pytest found it
-        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "1"
 
-
-class Unpicklable(Exception):
-    def __reduce__(self):
-        raise TypeError("no pickling")
-
-
-class TwoArgs(Exception):
-    """Pickles, but does not unpickle: its one stored arg misses ``b``."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a} {b}")
-
-
-# how a fan_out call ends: what it raises, and a pattern of the message
-FAN_OUT_ENDINGS = {
-    "success": (None, None),
-    "worker_raises": (KeyError, "item 4"),
-    "caller_raises": (KeyError, "item 1"),
-    "interrupt": (KeyboardInterrupt, None),
-    "worker_killed": (ChildProcessError, r"worker for items 3-5 .*killed by signal 9"),
-    "unpicklable": (ChildProcessError, r"worker for items 3-5 cannot send its Unpicklable: item 4"),
-    "unreadable": (ChildProcessError, r"worker for items 3-5 sent no readable reply .*TypeError"),
-}
-
-
-class TestFanOutWorkers:
-    """The workers ``fan_out`` forks: however a call ends, it has reaped
-    them all; it forks none from a process that runs a second thread."""
-
-    @pytest.mark.parametrize("case", list(FAN_OUT_ENDINGS))
-    def test_no_worker_outlives_the_call(self, monkeypatch, case):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
-        raised, match = FAN_OUT_ENDINGS[case]
-
-        def job(i):
-            # groups [0, 1, 2] in the caller and [3, 4, 5] in a worker
-            if case == "worker_raises" and i == 4:
-                raise KeyError("item 4")
-            if case == "caller_raises" and i == 1:
-                raise KeyError("item 1")
-            if case == "interrupt" and i == 1:
-                raise KeyboardInterrupt
-            if case == "worker_killed" and i == 4:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if case == "unpicklable" and i == 4:
-                raise Unpicklable("item 4")
-            if case == "unreadable" and i == 4:
-                raise TwoArgs("item", 4)
-            if case in ("caller_raises", "interrupt") and i >= 3:
-                time.sleep(30)  # killed, not waited for
-            return i
-
-        begun = time.monotonic()
-        if raised is None:
-            assert models.fan_out(job, list(range(6))) == list(range(6))
-        else:
-            with pytest.raises(raised, match=match):
-                models.fan_out(job, list(range(6)))
-        assert time.monotonic() - begun < 15
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
-    def test_forks_only_from_a_process_of_one_thread(self):
-        # a process whose BLAS pool runs on one thread runs one thread
-        code = "from tembed import models; print(models._usable_cpus())"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert int(out.stdout) == len(os.sched_getaffinity(0))
-        # with a second thread running, every item runs in the caller
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert models._usable_cpus() == 1
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
 class TestLossAndBackward:
     def test_cross_entropy_hand_case(self):
         spec = spec_of("logreg")

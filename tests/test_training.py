@@ -204,6 +204,15 @@ class TestPrepare:
         with pytest.raises(ValueError, match="0 or 1"):
             prepare(build_features([bad], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "classification")
 
+    def test_a_bad_label_names_its_episode(self, corpus):
+        series = [dataclasses.replace(s, label=label) for s, label in zip(corpus[0][:4], (1.0, 0.0, 2.0, -1.0))]
+        batch = build_features(series, SCHEMA, WINDOW, BIN_WIDTH, LOGREG)
+        with pytest.raises(ValueError, match=rf"^episode {series[2].episode_id!r} has label 2; "
+                                             r"classification labels must be 0 or 1$"):
+            prepare(batch, "classification")
+        with pytest.raises(ValueError, match=rf"^episode {series[3].episode_id!r} has label -1; labels must be >= 0$"):
+            prepare(batch, "regression")
+
     def test_regression_labels_become_days(self, corpus):
         ep = dataclasses.replace(corpus[0][0], label=36.0)
         data = prepare(build_features([ep], SCHEMA, WINDOW, BIN_WIDTH, LOGREG), "regression")
@@ -663,6 +672,18 @@ class TestRunCV:
         with pytest.raises(ValueError, match=rf"^the test set has no episode labelled {label:g}; "
                                              rf"the pool has {in_pool} of 20$"):
             run_cv(LOGREG, pool, test, CV_HYPER, k=2, runs_per_fold=1)
+
+    @pytest.mark.parametrize("n_test", [1, 3])
+    def test_refuses_a_regression_test_set_of_one_label_before_training(self, corpus, monkeypatch, n_test):
+        spec = ModelSpec(family="linreg", task="regression")
+        pool_series, test_series = corpus
+        pool = build_features(pool_series, SCHEMA, WINDOW, BIN_WIDTH, spec)
+        same = [dataclasses.replace(s, label=46.3) for s in test_series[:n_test]]
+        test = build_features(same, SCHEMA, WINDOW, BIN_WIDTH, spec)
+        monkeypatch.setattr(training, "train_one", lambda *a: pytest.fail("a training started"))
+        with pytest.raises(ValueError, match=rf"^the test set has {n_test} episode\(s\), each labelled 46.3 hours; "
+                                             r"explained variance needs two label values$"):
+            run_cv(spec, pool, test, CV_HYPER, k=2, runs_per_fold=1)
 
     def test_summary_lines(self, cv):
         report, _ = cv
