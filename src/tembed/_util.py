@@ -11,8 +11,8 @@ import json
 import locale
 import numbers
 import os
+import secrets
 import sys
-import tempfile
 import zipfile
 from dataclasses import MISSING, fields
 from typing import Sequence
@@ -145,10 +145,13 @@ def sha256_hex(data: bytes) -> str:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write a file via temp-and-rename so readers never observe a torn file."""
+    """Write a file via temp-and-rename so readers never observe a torn file. The file
+    gets the mode that ``open(path, "w")`` gives a new file under the process umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}{os.path.basename(path)}")
+    # not tempfile.mkstemp, which creates mode 0600 whatever the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

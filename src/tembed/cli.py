@@ -8,7 +8,9 @@ Subcommands:
              manifest.json) from a SynthConfig;
 * ``train``  run the cross-validated protocol on a dataset and write the
              report, summary CSV, selected model parameters and the
-             normalized test episodes;
+             normalized test episodes; with --force over an earlier run,
+             it removes that run's ``sweep.csv`` and each
+             ``params_fold*.npz`` that it does not rewrite;
 * ``sweep``  re-evaluate a finished training run under observation
              dropout and write the fraction-by-metric CSV; it reads only
              the run directory, never the training data, and a damaged
@@ -24,12 +26,13 @@ dataclass section takes its keys and defaults from its fields and leaves
 the checks to its constructor. Flags are merged into the config first, so
 a flag value is checked as its config entry is. The train command runs its
 fold-by-run grid through ``models.fan_out`` (see there for when workers
-fork and the BLAS-thread rule); its outputs do not depend on the CPU count.
+fork); its outputs do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import numbers
 import os
 import sys
@@ -288,6 +291,11 @@ def cmd_train(args) -> int:
     )
 
     os.makedirs(out_dir, exist_ok=True)
+    # an earlier run's (--force) sweep and fold models describe models this run did not train
+    written = {f"params_fold{f}.npz" for f in selected}
+    for name in [SWEEP_CSV, *fnmatch.filter(os.listdir(out_dir), "params_fold*.npz")]:
+        if name not in written and os.path.isfile(os.path.join(out_dir, name)):
+            os.remove(os.path.join(out_dir, name))
     atomic_write_text(os.path.join(out_dir, REPORT_JSON), report_to_json(report) + "\n")
     csv_lines = ["model,metric,mean,std,stderr,n"]
     for name, agg in sorted(report["aggregate"].items()):
@@ -374,7 +382,8 @@ def _load_selected_params(run_dir: str, experiment: dict, schema: Schema) -> dic
 
 def cmd_sweep(args) -> int:
     # --keep-fractions goes in as a list, each token a number where it parses as one
-    flag = [_number(tok) for tok in args.keep_fractions.split(",") if tok.strip()] if args.keep_fractions else None
+    flag = ([_number(tok) for tok in args.keep_fractions.split(",") if tok.strip()]
+            if args.keep_fractions is not None else None)
     config = _load_config(args.config, run_dir=args.run_dir, seed=args.seed, out=args.out, fractions=flag)
     problems: list[str] = []
     sweep = check_section(TOP, config, SWEEP, problems)

@@ -489,11 +489,12 @@ def _usable_cpus() -> int:
     run on, where its workers can fork: on Linux, from a process that runs
     one thread. Elsewhere one.
 
-    A second thread is most often the BLAS pool numpy starts unless
-    OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, MKL_NUM_THREADS) is 1. Each
-    worker forked from such a process starts a pool of its own, and on
-    2 vCPUs the pools fought: a quickstart ``train`` took 4.8-18 s on
-    forked workers against about 3 s serially."""
+    A second thread is most often the BLAS pool numpy starts when it loads
+    before ``tembed`` (which sets the BLAS thread variables to 1 where unset)
+    or when the user sets OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS,
+    MKL_NUM_THREADS) above 1. Each worker forked from such a process starts
+    a pool of its own, and on 2 vCPUs the pools fought: a quickstart
+    ``train`` took 4.8-18 s on forked workers against about 3 s serially."""
     if not sys.platform.startswith("linux") or len(os.listdir("/proc/self/task")) > 1:
         return 1
     return len(os.sched_getaffinity(0))
@@ -504,8 +505,8 @@ def fan_out(fn, items: list) -> list:
 
     The items are dealt out in contiguous groups, one per CPU but no more
     than there are items; ``_usable_cpus`` allows one group only, unless
-    the process runs on Linux with one thread (OPENBLAS_NUM_THREADS=1 keeps
-    numpy's BLAS to it). The caller runs the first group; each other group
+    the process runs on Linux with one thread, as it does when ``tembed``
+    loads before numpy. The caller runs the first group; each other group
     runs in a fork-context ``multiprocessing.Process`` started for this call,
     which inherits the inputs and numpy's error state (np.errstate)
     copy-on-write and sends back its results, or its first failure, through

@@ -21,10 +21,10 @@ the day scale for regression (lower is better). Test metrics for
 regression are reported in hours.
 
 ``run_cv`` trains the fold-by-run grid through ``models.fan_out``, on
-forked ``multiprocessing`` workers (its docstring says when they fork and
-why BLAS must run one thread), and merges the results in (fold, run)
-order, so the report does not depend on the CPU count; limit the process's
-CPUs (for example with ``taskset -c 0``) to train serially.
+forked ``multiprocessing`` workers (its docstring says when they fork),
+and merges the results in (fold, run) order, so the report does not depend
+on the CPU count; limit the process's CPUs (for example with
+``taskset -c 0``) to train serially.
 Scoring (``predict_scores``) goes through ``models.predict``, which runs
 in the calling process: the job's own process inside a job. Putting the
 episodes in id order and a job's folds select rows of the pool's X

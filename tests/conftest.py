@@ -13,6 +13,8 @@ leaves a child process behind, running or unreaped, and a test that must
 see what happened inside an item writes it to a file with ``record``.
 """
 
+import tembed  # noqa: F401  first: it sets the BLAS thread variables, which numpy reads as it loads
+
 import os
 
 import pytest

@@ -21,6 +21,7 @@ from tembed.models import (
     ModelSpec,
     backward,
     count_params,
+    fan_out,
     forward,
     init_params,
     loss,
@@ -260,22 +261,28 @@ def timing_bench():
     test_n = [apply_norm(s, stats, schema) for s in test_raw]
     hyper = Hyper()
 
-    arms = {}
     specs = {
         "plain": ModelSpec(family="lstm", task="classification", hidden=16, te_mode="none"),
         "catTE": ModelSpec(family="lstm", task="classification", hidden=16, te_mode="cat_te",
                            te_cfg=EncoderConfig.temporal(4, 48.0)),
     }
-    for name, spec in specs.items():
-        tr = prepare(build_features(train_n[:1600], schema, 48.0, 1.0, spec), "classification")
-        va = prepare(build_features(train_n[1600:], schema, 48.0, 1.0, spec), "classification")
-        td = prepare(build_features(test_n, schema, 48.0, 1.0, spec), "classification")
-        aucs, models = [], []
-        for seed in range(5):
-            result = train_one(spec, tr, va, hyper, seed=seed)
-            aucs.append(evaluate(spec, result.params, td)["auc_roc"])
-            models.append(result.params)
-        arms[name] = {"spec": spec, "aucs": aucs, "models": models}
+    # fit, validation and test sets per arm
+    data = {name: [prepare(build_features(series, schema, 48.0, 1.0, spec), "classification")
+                   for series in (train_n[:1600], train_n[1600:], test_n)]
+            for name, spec in specs.items()}
+
+    def train_and_score(job):
+        name, seed = job
+        fit, val, test = data[name]
+        result = train_one(specs[name], fit, val, hyper, seed=seed)
+        return evaluate(specs[name], result.params, test)["auc_roc"], result.params
+
+    # the 10 trainings run on a process per CPU, as `tembed train` runs its grid
+    jobs = [(name, seed) for name in specs for seed in range(5)]
+    done = dict(zip(jobs, fan_out(train_and_score, jobs)))
+    arms = {name: {"spec": spec, "aucs": [done[name, seed][0] for seed in range(5)],
+                   "models": [done[name, seed][1] for seed in range(5)]}
+            for name, spec in specs.items()}
     return {
         "arms": arms,
         "schema": schema,

@@ -201,6 +201,20 @@ class TestTrain:
         assert code == 1
         assert "--force" in stderr
 
+    def test_force_removes_the_sweep_and_fold_models_it_does_not_rewrite(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        k3 = write_config(tmp_path, dict(TRAIN_CONFIG, train={**TRAIN_CONFIG["train"], "k": 3}, out=out),
+                          "k3.json")
+        k2 = write_config(tmp_path, dict(TRAIN_CONFIG, out=out), "k2.json")
+        assert run(["train", "--config", k3], capsys)[0] == 0
+        assert run(["sweep", "--run-dir", out], capsys)[0] == 0
+        with open(os.path.join(out, "notes.txt"), "w") as fh:
+            fh.write("kept\n")
+        assert run(["train", "--config", k2, "--force"], capsys)[0] == 0
+        assert sorted(os.listdir(out)) == ["experiment.json", "notes.txt", "params_fold0.npz", "params_fold1.npz",
+                                           "report.csv", "report.json", "test_episodes.npz"]
+        assert run(["sweep", "--run-dir", out], capsys)[0] == 0
+
     def test_reports_every_problem_at_once(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -333,6 +347,7 @@ class TestSweep:
         ("1.0,abc", "comma-separated numbers"),
         ("0,0.5", "(0, 1]"),
         ("1.5", "(0, 1]"),
+        ("", "(0, 1]"),
     ])
     def test_rejects_bad_fractions(self, run_dir, raw, message, capsys):
         code, _, stderr = run(

@@ -37,6 +37,19 @@ from tembed.models import (
 )
 
 TE8 = EncoderConfig.temporal(8, 48.0)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_stdout(code: str, **env) -> str:
+    """The stripped stdout of ``python -c code`` on the package under test, wherever
+    pytest found it. The child sees none of the BLAS thread variables but those in
+    ``env``: this process holds them, set by conftest's import of tembed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+    inherited = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    inherited["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**inherited, **env})
+    return out.stdout.strip()
 
 
 def spec_of(family, task="classification", **kw):
@@ -427,13 +440,13 @@ class TestPredict:
         assert all(same_bits(got, want) for got, _ in results)
 
     def test_import_starts_no_thread(self):
-        code = "import threading, tembed.cli; print(threading.active_count())"
-        # the child imports the package under test, wherever pytest found it
-        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "1"
+        # and sets each BLAS thread variable to 1 unless the caller set it
+        code = ("import os, threading, tembed.cli\n"
+                f"print(threading.active_count(), *map(os.getenv, {BLAS_THREAD_VARS}))")
+        assert child_stdout(code) == "1 1 1 1"
+        assert child_stdout(code, OPENBLAS_NUM_THREADS="2") == "1 2 1 1"
+        assert child_stdout(code, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3",
+                            MKL_NUM_THREADS="4") == "1 2 3 4"
 
 
 class Unpicklable(Exception):
@@ -540,22 +553,18 @@ class TestFanOutWorkers:
                 "from tembed import models\n"
                 "models._usable_cpus = lambda: 1\n"
                 "print(models.fan_out(lambda i: i * i, [1, 2, 3]), models.fan_out(abs, [-4]))")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "[1, 4, 9] [4]"
+        assert child_stdout(code) == "[1, 4, 9] [4]"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
     def test_forks_only_from_a_process_of_one_thread(self):
-        # a process whose BLAS pool runs on one thread runs one thread
-        code = "from tembed import models; print(models._usable_cpus())"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert int(out.stdout) == len(os.sched_getaffinity(0))
+        # with no BLAS thread variable set, a process that imports tembed first runs one thread
+        code = ("import os\nfrom tembed import models\n"
+                "print(len(os.listdir('/proc/self/task')), models._usable_cpus())")
+        assert child_stdout(code) == f"1 {len(os.sched_getaffinity(0))}"
+        # a BLAS pool the caller asked for, or one numpy started before tembed loaded, keeps
+        # every item in the caller
+        assert child_stdout(code, OPENBLAS_NUM_THREADS="2").split()[1] == "1"
+        assert child_stdout("import numpy\n" + code).split()[1] == "1"
         # with a second thread running, every item runs in the caller
         release = threading.Event()
         other = threading.Thread(target=release.wait)

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from tembed import _util
-from tembed._util import atomic_write_bytes, atomic_write_text, make_rng
+from tembed._util import atomic_write_bytes, atomic_write_npz, atomic_write_text, make_rng
 from tembed.encoding import EncoderConfig
 
 
@@ -30,6 +30,21 @@ def test_text_and_bytes_writers_write_identical_bytes(tmp_path):
         with open(path, "rb") as fh:
             contents.append(fh.read())
     assert contents[0] == contents[1] == contents[2] == text.encode("ascii")
+
+
+def test_written_files_get_the_mode_open_gives_under_the_umask(tmp_path):
+    # 0666 less the umask, as open(path, "w") creates a file; each write but the first replaces a file
+    paths = [tmp_path / "report.json", tmp_path / "params.npz"]
+    before = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077):
+            os.umask(umask)
+            for _ in range(2):
+                atomic_write_text(str(paths[0]), "{}\n")
+                atomic_write_npz(str(paths[1]), {}, {"w": np.zeros(2)})
+                assert [path.stat().st_mode & 0o777 for path in paths] == [0o666 & ~umask] * 2
+    finally:
+        os.umask(before)
 
 
 def _failing_replace(src, dst):
