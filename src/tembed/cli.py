@@ -19,8 +19,9 @@ Subcommands:
 
 Every command validates its whole config up front, before it reads any
 data, and reports all problems at once, refuses to overwrite existing
-outputs unless --force is given, and is deterministic for a fixed config
-and seed. Each config section has one table below, read by
+outputs unless --force is given, and an output of the wrong kind (a file
+for a directory or the reverse) even with it, and is deterministic for a
+fixed config and seed. Each config section has one table below, read by
 ``_util.check_section``: each key once, with its default and its check; a
 dataclass section takes its keys and defaults from its fields and leaves
 the checks to its constructor. Flags are merged into the config first, so
@@ -104,6 +105,7 @@ REPORT_CSV = "report.csv"
 EXPERIMENT_FILE = "experiment.json"
 TEST_EPISODES_FILE = "test_episodes.npz"
 SWEEP_CSV = "sweep.csv"
+PARAMS_FILE = "params_fold{}.npz"  # one per selected fold
 
 
 class CliError(Exception):
@@ -181,8 +183,14 @@ def _load_config(path: str | None, **flags) -> dict:
     return {**config, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def _refuse_existing(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
+def _refuse_existing(path: str, force: bool, *, directory: bool) -> None:
+    """Refuse an output ``path`` that exists: without --force, and even with it where
+    it is a directory and ``directory`` is False or the reverse."""
+    if not os.path.exists(path):
+        return
+    if os.path.isdir(path) != directory:
+        raise CliError(f"{path} exists and is {'not ' if directory else ''}a directory")
+    if not force:
         raise CliError(f"{path} already exists; pass --force to overwrite")
 
 
@@ -200,7 +208,7 @@ def cmd_gen(args) -> int:
     _fail_if(problems)
 
     synth, n_episodes, out_dir = gen["synth"], gen["n_episodes"], gen["out"]
-    _refuse_existing(out_dir, args.force)
+    _refuse_existing(out_dir, args.force, directory=True)
     episodes, manifest = gen_dataset(synth, n_episodes)
     schema = synth_schema(synth)
     os.makedirs(out_dir, exist_ok=True)
@@ -267,7 +275,7 @@ def cmd_train(args) -> int:
         data = check_section("data", config["data"], DATA, problems)
     paths = _data_files(data, problems) if data is not None else {}
     _fail_if(problems)
-    _refuse_existing(top["out"], args.force)
+    _refuse_existing(top["out"], args.force, directory=True)
 
     if data["synth"] is not None:
         episodes, schema = gen_dataset(data["synth"], data["n_episodes"])[0], synth_schema(data["synth"])
@@ -292,8 +300,8 @@ def cmd_train(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     # an earlier run's (--force) sweep and fold models describe models this run did not train
-    written = {f"params_fold{f}.npz" for f in selected}
-    for name in [SWEEP_CSV, *fnmatch.filter(os.listdir(out_dir), "params_fold*.npz")]:
+    written = {PARAMS_FILE.format(f) for f in selected}
+    for name in [SWEEP_CSV, *fnmatch.filter(os.listdir(out_dir), PARAMS_FILE.format("*"))]:
         if name not in written and os.path.isfile(os.path.join(out_dir, name)):
             os.remove(os.path.join(out_dir, name))
     atomic_write_text(os.path.join(out_dir, REPORT_JSON), report_to_json(report) + "\n")
@@ -305,7 +313,7 @@ def cmd_train(args) -> int:
         )
     atomic_write_text(os.path.join(out_dir, REPORT_CSV), "\n".join(csv_lines) + "\n")
     for f, params in sorted(selected.items()):
-        save_params(os.path.join(out_dir, f"params_fold{f}.npz"), params, spec)
+        save_params(os.path.join(out_dir, PARAMS_FILE.format(f)), params, spec)
     save_episodes(os.path.join(out_dir, TEST_EPISODES_FILE), test, schema)
     experiment = {
         "data": config["data"],
@@ -364,7 +372,7 @@ def _load_selected_params(run_dir: str, experiment: dict, schema: Schema) -> dic
     needed = {name: shape for name, shape, _ in _layout(spec, width)}
     selected: dict[int, dict] = {}
     for f in experiment["selected_folds"]:
-        path = os.path.join(run_dir, f"params_fold{f}.npz")
+        path = os.path.join(run_dir, PARAMS_FILE.format(f))
         if not os.path.exists(path):
             raise CliError(f"missing model file {path}")
         try:
@@ -393,7 +401,8 @@ def cmd_sweep(args) -> int:
     seed = experiment["seed"] if sweep["seed"] is None else sweep["seed"]
     out_dir = sweep["out"] or run_dir
     out_path = os.path.join(out_dir, SWEEP_CSV)
-    _refuse_existing(out_path, args.force)
+    _refuse_existing(out_dir, force=True, directory=True)  # by default the run directory, which exists
+    _refuse_existing(out_path, args.force, directory=False)
 
     test, schema = _load_test_set(run_dir, experiment["test_ids"])
     selected_params = _load_selected_params(run_dir, experiment, schema)
@@ -415,7 +424,7 @@ def cmd_encode(args) -> int:
     input_path, out_path, cfg = encode["input"], encode["out"], encode["cfg"]
     if not os.path.exists(input_path):
         raise CliError(f"input file not found: {input_path}")
-    _refuse_existing(out_path, args.force)
+    _refuse_existing(out_path, args.force, directory=False)
 
     with open_text(input_path) as fh:
         lines = fh.read().split("\n")  # \r\n and \r read as \n; splitlines would also split at \f, \x85, ...

@@ -458,6 +458,22 @@ def load_csv(data_path: str, schema: Schema, label_path: str | None = None) -> l
     return _to_series(columns, sorted_ids, map((labels or {}).get, sorted_ids), False)
 
 
+def _columns_to_write(episodes: Sequence[IrregularSeries], schema: Schema, labeled: bool) -> dict[str, np.ndarray]:
+    """The columnar form of ``episodes`` (``_to_columns``) for a writer, once every
+    observation fits the schema (``_check_schema``) and, where ``labeled``, every
+    episode has a finite label; a problem raises ``ValueError`` naming the episode."""
+    for ep in episodes if labeled else ():
+        if ep.label is None:
+            raise ValueError(f"episode {ep.episode_id!r} has no label to write")
+        if not math.isfinite(ep.label):
+            raise ValueError(f"episode {ep.episode_id!r} has label {ep.label!r}, which is not finite")
+    columns = _to_columns(episodes)
+    episode_of = _episode_of(columns["offsets"])
+    _check_schema(columns["channel_idx"], columns["values"], schema,
+                  lambda i: f"episode {episodes[episode_of[i]].episode_id!r}")
+    return columns
+
+
 def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: str,
               label_path: str | None = None) -> None:
     """Write observation (and optionally label) CSVs that round-trip exactly.
@@ -465,20 +481,23 @@ def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: st
     Fields are written unquoted, one row per line ending in ``\\n``, so an
     episode id, or the name of a channel that some observation is on,
     holding a comma or a line break, or starting with a quote, is refused
-    before anything is written; so is an episode without a label when
-    ``label_path`` is given.
+    before anything is written; so are two episodes of one id, which would
+    read back as one, an observation that does not fit the schema, and,
+    when ``label_path`` is given, an episode without a finite label
+    (``_columns_to_write``).
     """
     names = [spec.name for spec in schema.channels]
-    columns = _to_columns(episodes)
+    columns = _columns_to_write(episodes, schema, label_path is not None)
     times, chans, values = (columns[name].tolist() for name in ("times", "channel_idx", "values"))
     written = [("channel", names[c]) for c in sorted(set(chans))]
     for what, name in written + [("episode id", ep.episode_id) for ep in episodes]:
         if name.startswith('"') or any(c in name for c in ",\r\n"):
             raise ValueError(f"{what} {name!r} cannot be written to CSV unquoted")
-    if label_path is not None:
-        for ep in episodes:
-            if ep.label is None:
-                raise ValueError(f"episode {ep.episode_id!r} has no label to write")
+    seen: set[str] = set()
+    for ep in episodes:
+        if ep.episode_id in seen:
+            raise ValueError(f"episode {ep.episode_id!r} is given twice; its CSV rows would read back as one episode")
+        seen.add(ep.episode_id)
     ids = itertools.chain.from_iterable(itertools.repeat(ep.episode_id, ep.n_obs) for ep in episodes)
     rows = map(",".join, zip(ids, map(repr, times), map(names.__getitem__, chans), map(repr, values)))
     atomic_write_text(data_path, "\n".join(itertools.chain([",".join(DATA_HEADER)], rows)) + "\n")
@@ -495,9 +514,9 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     The container holds a ``__meta__`` JSON (format version, schema) and the
     episodes as columns: ``episode_ids``, ``labels`` and their columnar form
     (``offsets``, ``times``, ``channel_idx`` and ``values``, see ``_to_columns``).
-    Before anything is written, every episode must be labeled and normalized
-    and every observation must fit the schema (``_check_schema``, naming the
-    episode), so nothing is saved that :func:`load_episodes` would refuse.
+    Before anything is written, every episode must be labeled and normalized,
+    every label finite and every observation fit the schema (``_columns_to_write``),
+    so nothing is saved that :func:`load_episodes` would refuse.
     """
     for ep in episodes:
         if ep.label is None or not ep.normalized:
@@ -505,10 +524,7 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     ids = np.array([ep.episode_id for ep in episodes], dtype=str)
     if ids.tolist() != [ep.episode_id for ep in episodes]:  # numpy drops trailing NULs
         raise ValueError("episode ids ending in a NUL character cannot be saved")
-    columns = _to_columns(episodes)
-    episode_of = _episode_of(columns["offsets"])
-    _check_schema(columns["channel_idx"], columns["values"], schema,
-                  lambda i: f"episode {episodes[episode_of[i]].episode_id!r}")
+    columns = _columns_to_write(episodes, schema, labeled=True)
     meta = {"format_version": EPISODES_FORMAT_VERSION, "schema": schema.to_dict()}
     labels = np.array([float(ep.label) for ep in episodes], dtype=np.float64)
     atomic_write_npz(path, meta, {"episode_ids": ids, "labels": labels, **columns})

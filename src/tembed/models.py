@@ -41,7 +41,7 @@ import math
 import multiprocessing.connection
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,10 +49,10 @@ from ._util import atomic_write_npz, check_int, check_object, check_real, from_o
 from .encoding import EncoderConfig
 from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
-FAMILIES = ("linreg", "logreg", "mlp", "lstm", "sa_lstm")
 TASKS = ("classification", "regression")
 
 _FAMILY_ALIAS = {"linreg": "LinR", "logreg": "LogR", "mlp": "MLP", "lstm": "LSTM", "sa_lstm": "SA-LSTM"}
+FAMILIES = tuple(_FAMILY_ALIAS)
 _MODE_PREFIX = {"none": "", "mask": "BM+", "cat_te": "catTE+", "add_te": "addTE+"}
 TE_MODES = tuple(_MODE_PREFIX)
 # the input regimes that embed times, and so take an encoder config (te_cfg)
@@ -171,12 +171,12 @@ def model_input_width(spec: ModelSpec, steps: int, per_step_width: int) -> int:
     return per_step_width if spec.recurrent else steps * per_step_width
 
 
-def _dense_layer_names(spec: ModelSpec) -> list[str]:
-    if spec.family == "mlp":
-        return [f"dense{i}" for i in range(len(spec.mlp_widths))]
-    if spec.recurrent:
-        return [f"head{i}" for i in range(len(spec.head_widths))]
-    return []
+def _dense_chain(spec: ModelSpec) -> tuple[list[str], tuple[int, ...]]:
+    """The names of the dense layers, ``out`` last, and the widths of the layers
+    before it: the MLP's, the recurrent families' head, none for linreg/logreg."""
+    widths = spec.mlp_widths if spec.family == "mlp" else spec.head_widths if spec.recurrent else ()
+    prefix = "dense" if spec.family == "mlp" else "head"
+    return [f"{prefix}{i}" for i in range(len(widths))] + ["out"], widths
 
 
 def _layout(spec: ModelSpec, input_dim: int) -> list[tuple[str, tuple[int, ...], int]]:
@@ -193,9 +193,9 @@ def _layout(spec: ModelSpec, input_dim: int) -> list[tuple[str, tuple[int, ...],
         att = spec.attention
         tensors += [("attn.Ws1", (att.d_a, h), h), ("attn.Ws2", (att.r, att.d_a), att.d_a)]
         chain_in = att.r * h
-    hidden = spec.mlp_widths if spec.family == "mlp" else spec.head_widths if spec.recurrent else ()
+    names, hidden = _dense_chain(spec)
     widths = [chain_in, *hidden, spec.n_out]
-    for name, a, b in zip(_dense_layer_names(spec) + ["out"], widths[:-1], widths[1:]):
+    for name, a, b in zip(names, widths[:-1], widths[1:]):
         tensors += [(f"{name}.W", (a, b), a), (f"{name}.b", (b,), a)]
     return tensors
 
@@ -228,34 +228,24 @@ def count_params(spec: ModelSpec, input_dim: int) -> int:
     return sum(math.prod(shape) for _, shape, _ in _layout(spec, input_dim))
 
 
-def solve_hidden_for_budget(
-    family: str,
-    input_dim: int,
-    budget: int,
-    task: str = "classification",
-    head_widths: tuple[int, ...] = (32, 32, 16),
-    attention: AttentionSpec | None = None,
-) -> int:
-    """Largest hidden size whose parameter count fits the budget.
+def solve_hidden_for_budget(spec: ModelSpec, input_dim: int, budget: int) -> int:
+    """Largest hidden size ``h`` for which ``spec`` with hidden ``h`` has at most
+    ``budget`` parameters at ``input_dim``; every other part of the spec (head,
+    task, attention, input regime) counts as it is.
 
-    Only the recurrent families have a hidden size to solve for. Because
-    the count grows with input width, TE- or mask-widened inputs yield
-    smaller hidden sizes under the same budget.
+    Only the recurrent families have a hidden size, and add_te fixes it to the
+    embedding dimension. Because the count grows with input width, TE- or
+    mask-widened inputs yield smaller hidden sizes under the same budget.
     """
-    if family not in ("lstm", "sa_lstm"):
-        raise ValueError(f"only lstm and sa_lstm have a hidden size, got {family!r}")
-    if family == "sa_lstm" and attention is None:
-        attention = AttentionSpec()
+    if not spec.recurrent or spec.te_mode == "add_te":
+        fixed = "has no hidden size" if not spec.recurrent else "has its hidden size fixed to te_cfg.dim"
+        raise ValueError(f"{alias(spec)} {fixed}; there is none to solve for")
 
     def count(h: int) -> int:
-        spec = ModelSpec(
-            family=family, task=task, hidden=h, head_widths=head_widths,
-            attention=attention if family == "sa_lstm" else None,
-        )
-        return count_params(spec, input_dim)
+        return count_params(replace(spec, hidden=h), input_dim)
 
     if count(1) > budget:
-        raise ValueError(f"budget {budget} is below the smallest {family} ({count(1)} params)")
+        raise ValueError(f"budget {budget} is below the smallest {alias(spec)} ({count(1)} params)")
     h = 1
     while count(h + 1) <= budget:
         h += 1
@@ -395,7 +385,7 @@ def _lstm_backward(params: dict, trace: ForwardTrace, dH: np.ndarray, grads: dic
 def _dense_forward(spec: ModelSpec, params: dict, feed: np.ndarray,
                    trace: ForwardTrace | None) -> np.ndarray:
     a = feed
-    names = _dense_layer_names(spec) + ["out"]
+    names = _dense_chain(spec)[0]
     for idx, name in enumerate(names):
         z = a @ params[f"{name}.W"] + params[f"{name}.b"]
         if trace is not None:
@@ -407,7 +397,7 @@ def _dense_forward(spec: ModelSpec, params: dict, feed: np.ndarray,
 
 def _dense_backward(spec: ModelSpec, params: dict, trace: ForwardTrace, dz_out: np.ndarray,
                     grads: dict) -> np.ndarray:
-    names = _dense_layer_names(spec) + ["out"]
+    names = _dense_chain(spec)[0]
     dz = dz_out
     for idx in range(len(names) - 1, -1, -1):
         name = names[idx]

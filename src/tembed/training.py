@@ -204,6 +204,8 @@ def _labels(series_list, task: str) -> np.ndarray:
     y = np.asarray(labels)
     if task == "classification":
         bad, rule = ~np.isin(y, (0.0, 1.0)), "classification labels must be 0 or 1"
+    elif not np.isfinite(y).all():
+        bad, rule = ~np.isfinite(y), "regression labels must be finite"
     else:
         bad, rule = y < 0, "labels must be >= 0"
     if bad.any():

@@ -395,7 +395,8 @@ def test_criterion_09_budget_solver_ordering():
         "catTE": n_channels + 32,
         "mask": n_channels + 2 * n_channels,
     }
-    hidden = {name: solve_hidden_for_budget("lstm", input_dim=w, budget=budget)
+    lstm = ModelSpec(family="lstm", task="classification", hidden=1)
+    hidden = {name: solve_hidden_for_budget(lstm, input_dim=w, budget=budget)
               for name, w in widths.items()}
     maximal = all(
         count_params(ModelSpec(family="lstm", task="classification", hidden=h), w) <= budget

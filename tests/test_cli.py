@@ -13,6 +13,7 @@ from tembed import cli, training
 from tembed.cli import main
 from tembed.dataset import load_csv, load_schema
 from tembed.encoding import EncoderConfig, te_batch
+from tembed.models import load_params
 
 SYNTH = {
     "n_channels": 2,
@@ -529,6 +530,31 @@ def test_config_problem_loads_no_data(tmp_path, capsys, monkeypatch, source):
     assert loads == []
 
 
+@pytest.mark.parametrize("force", [False, True], ids=["", "force"])
+@pytest.mark.parametrize("command", ["gen", "train", "sweep", "encode"])
+def test_out_of_the_wrong_kind_is_refused_before_loading(run_dir, tmp_path, capsys, monkeypatch, command, force):
+    # gen, train and sweep write into a directory, encode writes a file
+    out = tmp_path / "out"
+    if command == "encode":
+        out.mkdir()
+    else:
+        out.write_text("kept\n")
+    times = tmp_path / "times.csv"
+    times.write_text("t\n0.5\n")
+    config = {"gen": {"synth": SYNTH, "n_episodes": 5}, "train": TRAIN_CONFIG, "sweep": {"run_dir": run_dir},
+              "encode": {"input": str(times), "max_time": 48.0}}[command]
+    loads = []
+    for name in ("load_csv", "gen_dataset", "load_episodes", "load_params", "open_text"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: loads.append(name))
+    args = [command, "--config", write_config(tmp_path, config), "--out", str(out)] + ["--force"] * force
+    code, _, stderr = run(args, capsys)
+    assert code == 1
+    kind = "is a directory" if command == "encode" else "is not a directory"
+    assert stderr == f"error: {out} exists and {kind}\n"
+    assert loads == []
+    assert out.is_dir() if command == "encode" else out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("name", ["data.csv", "labels.csv"])
 def test_undecodable_dataset_file_is_named(tmp_path, capsys, name):
     data_dir = str(tmp_path / "data")
@@ -679,6 +705,35 @@ class TestEncode:
         assert code == 1
         assert "--force" in stderr
         assert run(args + ["--force"], capsys)[0] == 0
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # One BLAS thread lets train and sweep fork a worker per CPU; two keep them in one process
+    # whose BLAS may split the larger products, so a parameter file may round differently.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path, dict(
+        TRAIN_CONFIG, data={"synth": dict(SYNTH, window_hours=48.0), "n_episodes": 300},
+        model={"family": "lstm", "hidden": 32, "te_mode": "cat_te", "te_dim": 8},
+        features={"window": 48.0, "bin_width": 1.0}, train={"epochs": 2, "batch_size": 64, "k": 2, "runs_per_fold": 1}))
+    reports, params = [], []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"run{threads}")
+        for args in (["train", "--config", cfg], ["sweep", "--run-dir", out, "--keep-fractions", "1.0,0.5"]):
+            done = subprocess.run([sys.executable, "-m", "tembed", *args, "--out", out], capture_output=True,
+                                  text=True, timeout=300, env={**env, "OPENBLAS_NUM_THREADS": threads})
+            assert done.returncode == 0, done.stderr
+        reports.append({})
+        for name in ("report.json", "report.csv", "sweep.csv"):
+            with open(os.path.join(out, name), "rb") as fh:
+                reports[-1][name] = fh.read()
+        params.append([load_params(os.path.join(out, f"params_fold{f}.npz"))[0] for f in (0, 1)])
+    assert reports[0] == reports[1]
+    for one, two in zip(*params):
+        for name, tensor in one.items():
+            assert np.abs(two[name] - tensor).max() <= 1e-14 * np.abs(tensor).max(), name
 
 
 class TestParser:

@@ -450,6 +450,30 @@ def test_write_refuses_a_missing_label_before_writing(tmp_path):
     assert data.exists()
 
 
+HR_GCS = Schema(channels=(ChannelSpec("hr", "real"), ChannelSpec("gcs", "categorical", 3)))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (IrregularSeries("b", [1.0, 2.0], [0, -1], [60.0, 1.0], label=1.0),
+     "episode 'b': channel index -1 outside the 2-channel schema"),
+    (IrregularSeries("b", [1.0], [2], [1.0], label=1.0),
+     "episode 'b': channel index 2 outside the 2-channel schema"),
+    (IrregularSeries("b", [1.0], [1], [7.0], label=1.0),
+     "episode 'b': categorical channel 'gcs' takes integer values in [0, 3), got 7.0"),
+    (IrregularSeries("a", [3.0], [0], [70.0], label=1.0),
+     "episode 'a' is given twice; its CSV rows would read back as one episode"),
+    (IrregularSeries("b", [1.0], [0], [60.0], label=math.nan), "episode 'b' has label nan, which is not finite"),
+], ids=["channel-minus-one", "channel-past-the-schema", "code", "duplicate-id", "nan-label"])
+def test_write_refuses_what_load_csv_would_misread_or_refuse(tmp_path, bad, message):
+    # the bad episode comes second, so the error must name it, not the first
+    good = IrregularSeries("a", [0.5, 1.5], [0, 1], [60.0, 2.0], label=0.0)
+    data, labels = tmp_path / "d.csv", tmp_path / "l.csv"
+    with pytest.raises(ValueError) as err:
+        write_csv([good, bad], HR_GCS, str(data), str(labels))
+    assert str(err.value) == message
+    assert not data.exists() and not labels.exists()
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_norm_matches_per_channel_loop(data):

@@ -1,5 +1,6 @@
 """Model specs, initialization, counting, forward/backward, persistence."""
 
+import dataclasses
 import errno
 import math
 import os
@@ -191,28 +192,44 @@ class TestInitAndCount:
 
 class TestBudgetSolver:
     def test_result_is_maximal_under_budget(self):
-        h = solve_hidden_for_budget("lstm", input_dim=18, budget=15500)
+        h = solve_hidden_for_budget(spec_of("lstm"), input_dim=18, budget=15500)
         below = count_params(spec_of("lstm", hidden=h), 18)
         above = count_params(spec_of("lstm", hidden=h + 1), 18)
         assert below <= 15500 < above
 
     def test_wider_inputs_get_smaller_hidden(self):
         budget = 15500
-        hs = [solve_hidden_for_budget("lstm", input_dim=w, budget=budget) for w in (18, 50, 54)]
+        hs = [solve_hidden_for_budget(spec_of("lstm"), input_dim=w, budget=budget) for w in (18, 50, 54)]
         assert hs[0] > hs[1] > hs[2]
 
     def test_sa_lstm_budget_includes_attention(self):
-        h_plain = solve_hidden_for_budget("lstm", input_dim=18, budget=15500)
+        h_plain = solve_hidden_for_budget(spec_of("lstm"), input_dim=18, budget=15500)
         h_attn = solve_hidden_for_budget(
-            "sa_lstm", input_dim=18, budget=15500, attention=AttentionSpec(d_a=32, r=8)
+            spec_of("sa_lstm", attention=AttentionSpec(d_a=32, r=8)), input_dim=18, budget=15500
         )
         assert h_attn < h_plain
 
+    @pytest.mark.parametrize("spec", [
+        spec_of("lstm", head_widths=(48, 8)),
+        spec_of("lstm", task="regression"),
+        spec_of("sa_lstm", attention=AttentionSpec(d_a=12, r=5), te_mode="cat_te", te_cfg=TE8),
+    ], ids=["head-widths", "regression", "sa-lstm-attention"])
+    def test_every_part_of_the_spec_counts(self, spec):
+        budget = 9000
+        h = solve_hidden_for_budget(spec, input_dim=26, budget=budget)
+        below = count_params(dataclasses.replace(spec, hidden=h), 26)
+        above = count_params(dataclasses.replace(spec, hidden=h + 1), 26)
+        assert below <= budget < above
+
     def test_rejects_flat_families_and_tiny_budgets(self):
-        with pytest.raises(ValueError):
-            solve_hidden_for_budget("mlp", input_dim=10, budget=10_000)
-        with pytest.raises(ValueError, match="budget"):
-            solve_hidden_for_budget("lstm", input_dim=1000, budget=10)
+        with pytest.raises(ValueError, match=r"^BM\+MLP has no hidden size; there is none to solve for$"):
+            solve_hidden_for_budget(spec_of("mlp", te_mode="mask"), input_dim=10, budget=10_000)
+        with pytest.raises(ValueError, match=r"^budget 10 is below the smallest LSTM \(5690 params\)$"):
+            solve_hidden_for_budget(spec_of("lstm"), input_dim=1000, budget=10)
+
+    def test_rejects_add_te_whose_hidden_size_is_the_embedding_dimension(self):
+        with pytest.raises(ValueError, match=r"^addTE\+SA-LSTM has its hidden size fixed to te_cfg.dim; "):
+            solve_hidden_for_budget(spec_of("sa_lstm", te_mode="add_te", te_cfg=TE8), input_dim=10, budget=10_000)
 
 
 class TestForward:

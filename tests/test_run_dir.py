@@ -10,6 +10,7 @@ source), keep the run's test ids, and normalize them with the stats that
 """
 
 import json
+import math
 import os
 import shutil
 
@@ -195,7 +196,11 @@ def test_episode_container_round_trip_is_bit_exact(tmp_path_factory, case):
     (IrregularSeries("a", [1.0], [0], [2.0], label=1.0), "labeled and normalized"),
     (IrregularSeries("a", [1.0], [0], [2.0], normalized=True), "labeled and normalized"),
     (IrregularSeries("a\0", [1.0], [0], [2.0], label=1.0, normalized=True), "NUL"),
-], ids=["not-normalized", "unlabeled", "trailing-nul-id"])
+    (IrregularSeries("a", [1.0], [0], [2.0], label=math.nan, normalized=True),
+     "^episode 'a' has label nan, which is not finite$"),
+    (IrregularSeries("a", [1.0], [0], [2.0], label=-math.inf, normalized=True),
+     "^episode 'a' has label -inf, which is not finite$"),
+], ids=["not-normalized", "unlabeled", "trailing-nul-id", "nan-label", "inf-label"])
 def test_save_episodes_refuses_what_would_not_read_back(tmp_path, episode, message):
     schema = Schema(channels=(ChannelSpec("c0", "real"),))
     with pytest.raises(ValueError, match=message):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import threading
 import tracemalloc
 import weakref
@@ -683,6 +684,19 @@ class TestRunCV:
         monkeypatch.setattr(training, "train_one", lambda *a: pytest.fail("a training started"))
         with pytest.raises(ValueError, match=rf"^the test set has {n_test} episode\(s\), each labelled 46.3 hours; "
                                              r"explained variance needs two label values$"):
+            run_cv(spec, pool, test, CV_HYPER, k=2, runs_per_fold=1)
+
+    @pytest.mark.parametrize("where", ["pool", "test"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_refuses_a_non_finite_regression_label_before_training(self, corpus, monkeypatch, where, bad):
+        spec = ModelSpec(family="linreg", task="regression")
+        series = dict(zip(("pool", "test"), map(list, corpus)))
+        victim = series[where][3]
+        series[where][3] = dataclasses.replace(victim, label=bad)
+        pool, test = (build_features(series[key], SCHEMA, WINDOW, BIN_WIDTH, spec) for key in ("pool", "test"))
+        monkeypatch.setattr(training, "train_one", lambda *a: pytest.fail("a training started"))
+        with pytest.raises(ValueError, match="^" + re.escape(f"episode {victim.episode_id!r} has label {bad:g}; "
+                                                             "regression labels must be finite") + "$"):
             run_cv(spec, pool, test, CV_HYPER, k=2, runs_per_fold=1)
 
     def test_summary_lines(self, cv):
