@@ -17,15 +17,15 @@ Subcommands:
              run file is an error that names the file;
 * ``encode`` append time-embedding columns to a CSV of timestamps.
 
-Every command validates its whole config up front, before it reads any
-data, and reports all problems at once, refuses to overwrite existing
-outputs unless --force is given, and an output of the wrong kind (a file
-for a directory or the reverse) even with it, and is deterministic for a
-fixed config and seed. Each config section has one table below, read by
-``_util.check_section``: each key once, with its default and its check; a
-dataclass section takes its keys and defaults from its fields and leaves
-the checks to its constructor. Flags are merged into the config first, so
-a flag value is checked as its config entry is. The train command runs its
+Every command validates its whole config up front, before it reads any data,
+and reports all problems at once, refuses to overwrite existing outputs
+unless --force is given, and an output of the wrong kind (a file for a
+directory or the reverse) or below a file even with it, and is deterministic
+for a fixed config and seed. Each config section has one table below, read
+by ``_util.check_section``: each key once, with its default and its check; a
+dataclass section takes its keys and defaults from its fields and leaves the
+checks to its constructor. Flags are merged into the config first, so a flag
+value is checked as its config entry is. The train command runs its
 fold-by-run grid through ``models.fan_out`` (see there for when workers
 fork); its outputs do not depend on the CPU count.
 """
@@ -185,8 +185,14 @@ def _load_config(path: str | None, **flags) -> dict:
 
 def _refuse_existing(path: str, force: bool, *, directory: bool) -> None:
     """Refuse an output ``path`` that exists: without --force, and even with it where
-    it is a directory and ``directory`` is False or the reverse."""
+    it is a directory and ``directory`` is False or the reverse; and one whose nearest
+    existing ancestor is not a directory, as nothing can be written below it."""
     if not os.path.exists(path):
+        ancestor = os.path.dirname(path)
+        while ancestor and not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if ancestor and not os.path.isdir(ancestor):
+            raise CliError(f"cannot write {path}: {ancestor} is not a directory")
         return
     if os.path.isdir(path) != directory:
         raise CliError(f"{path} exists and is {'not ' if directory else ''}a directory")

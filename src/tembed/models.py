@@ -29,8 +29,8 @@ test suite. It consumes the trace: the LSTM gate gradients overwrite its gate
 buffer. ``predict`` returns what ``forward`` returns without its trace: it
 runs blocks of rows in the calling process, and without a trace the LSTM
 keeps one step of its gate and cell buffers instead of every step.
-``fan_out`` runs a list of items, training jobs or sweep blocks, on a
-forked ``multiprocessing`` process per usable CPU.
+``fan_out`` runs a list of items, training jobs or sweep blocks, on a forked
+``multiprocessing`` process per usable CPU, and reads the replies in item order.
 Parameters live in plain dicts of named float64 arrays; all functions
 here treat them as immutable.
 """
@@ -38,7 +38,7 @@ here treat them as immutable.
 from __future__ import annotations
 
 import math
-import multiprocessing.connection
+import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -124,6 +124,8 @@ class ModelSpec:
         encoded = self.te_mode in _ENCODED_MODES
         if encoded != (self.te_cfg is not None):
             raise ValueError(f"te_mode {self.te_mode!r} {'needs a' if encoded else 'takes no'} te_cfg")
+        if encoded and self.te_cfg.base_kind != "temporal":
+            raise ValueError(f"te_cfg must be a temporal encoder, got base_kind {self.te_cfg.base_kind!r}")
         if self.te_mode == "add_te":
             if not self.recurrent:
                 raise ValueError("add_te applies only to lstm and sa_lstm")
@@ -503,14 +505,14 @@ def fan_out(fn, items: list) -> list:
     a ``Pipe``. The caller flushes stdout and stderr before each fork; a
     worker's stdin is /dev/null. With one group the items run in place.
 
-    The results come back in item order. When items fail, the first one in
-    item order raises: a failure stops its group, and every group after it
-    is killed (the caller looks for failed workers between its own items,
-    then waits for any worker's reply), while the groups before it run on,
-    as one of them may fail first. An exception the worker cannot pickle,
-    and a worker that ends without a reply, raise ``ChildProcessError``
-    naming the worker's items. Every worker is reaped before fan_out
-    returns or raises.
+    The results come back in item order: the caller runs its group, then
+    waits for each worker's reply in item order. When items fail, the first
+    one in item order raises: a failure stops its group, and the caller
+    raises it once it has heard from every group before it, as one of them
+    may fail first; the groups after it, whose replies were not read, are
+    killed then. An exception the worker cannot pickle, and a worker that
+    ends without a reply, raise ``ChildProcessError`` naming the worker's
+    items. Every worker is reaped before fan_out returns or raises.
     """
     n = max(min(_usable_cpus(), len(items)), 1)
     bounds = [len(items) * g // n for g in range(n + 1)]
@@ -518,17 +520,9 @@ def fan_out(fn, items: list) -> list:
     try:
         for a, b in zip(bounds[1:-1], bounds[2:]):
             workers.append(_Worker(fn, items[a:b], f"items {a}-{b - 1}"))
-        results = []
-        for item in items[: bounds[1]]:
-            _take_replies(workers, 0)
-            results.append(fn(item))
-        while any(worker.process is not None for worker in workers):
-            _take_replies(workers, None)
-        for worker in workers:  # one killed is after a failed one, which raises first
-            ok, reply = worker.reply
-            if not ok:
-                raise reply
-            results += reply
+        results = [fn(item) for item in items[: bounds[1]]]
+        for worker in workers:
+            results += worker.receive()
         return results
     finally:
         for worker in workers:
@@ -542,7 +536,7 @@ class _Worker:
 
     def __init__(self, fn, group: list, name: str):
         context = multiprocessing.get_context("fork")  # here, not at import: Windows has no fork
-        self.name, self.reply = name, None
+        self.name, self.replied = name, False
         self.conn, send = context.Pipe(duplex=False)
         self.process = context.Process(target=_serve, args=(fn, group, send, name))
         opened = _open_fds()
@@ -556,24 +550,29 @@ class _Worker:
         finally:
             send.close()
 
-    def receive(self) -> None:
-        """Wait for the reply and keep it; reaps the worker."""
+    def receive(self) -> list:
+        """Wait for the reply and reap the worker; returns its results or
+        raises its failure."""
         try:
-            self.reply = self.conn.recv()
+            ok, reply = self.conn.recv()
         except Exception as exc:  # no reply, a cut one, or one that does not unpickle here
             self.process.join()
             code = self.process.exitcode
             ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            self.reply = False, ChildProcessError(
+            ok, reply = False, ChildProcessError(
                 f"fan_out's worker for {self.name} sent no readable reply ({ended}; {exc!r})")
+        self.replied = True
         self.close()
+        if not ok:
+            raise reply
+        return reply
 
     def close(self) -> None:
-        """Reap the worker, killed first unless it has replied, and close its
-        pipe; closing it again does nothing."""
+        """Reap the worker, killed first unless its reply was read, and close
+        its pipe; closing it again does nothing."""
         if self.process is None:
             return
-        if self.reply is None:
+        if not self.replied:
             self.process.kill()
         self.process.join()
         self.process.close()  # join leaves the launcher's sentinel pipe open
@@ -598,18 +597,6 @@ def _serve(fn, group: list, send, name: str) -> None:
     except Exception as exc:  # pickling fails before anything is written
         what = "results" if reply[0] else f"{type(reply[1]).__name__}: {reply[1]}"
         send.send((False, ChildProcessError(f"fan_out's worker for {name} cannot send its {what} ({exc})")))
-
-
-def _take_replies(workers: list[_Worker], timeout: float | None) -> None:
-    """Take the replies sent within ``timeout`` seconds (None: wait for one);
-    kill the workers after the first failed one, as none of their items can
-    fail first in item order."""
-    waiting = {w.conn: w for w in workers if w.process is not None}
-    for conn in multiprocessing.connection.wait(list(waiting), timeout):
-        waiting[conn].receive()
-    failed = [i for i, w in enumerate(workers) if w.reply is not None and not w.reply[0]]
-    for worker in workers[failed[0] + 1 :] if failed else []:
-        worker.close()
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:

@@ -16,9 +16,9 @@ fold, run]), best-validation selection per fold, and test evaluation of
 the selected models only. The report it returns contains nothing
 volatile, so identical inputs serialize to identical bytes.
 
-Validation metrics: AUC-ROC for classification (higher is better), MAE on
-the day scale for regression (lower is better). Test metrics for
-regression are reported in hours.
+Validation metrics (``VAL_METRIC``): AUC-ROC for classification (higher
+is better), MAE on the day scale for regression (lower is better). Test
+metrics for regression are reported in hours.
 
 ``run_cv`` trains the fold-by-run grid through ``models.fan_out``, on
 forked ``multiprocessing`` workers (its docstring says when they fork),
@@ -245,21 +245,16 @@ def _test_metrics(task: str, y: np.ndarray, scores: np.ndarray) -> dict[str, flo
     }
 
 
-def val_metric_name(task: str) -> str:
-    return "auc_roc" if task == "classification" else "mae_days"
+# each task's validation metric and its sign: a higher sign * value is better
+VAL_METRIC = {"classification": ("auc_roc", 1.0), "regression": ("mae_days", -1.0)}
 
 
 def _val_metric(spec: ModelSpec, params: dict, data: ArrayData) -> float:
+    """``VAL_METRIC``'s metric of the model on ``data``."""
     scores = predict_scores(spec, params, data)
     if spec.task == "classification":
         return auc_roc(data.y, scores)
     return mae(data.y, scores)
-
-
-def _is_better(task: str, candidate: float, incumbent: float) -> bool:
-    if task == "classification":
-        return candidate > incumbent
-    return candidate < incumbent
 
 
 @dataclass
@@ -273,7 +268,8 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
               hyper: Hyper, seed) -> TrainResult:
     """Seeded epoch loop with shuffled mini-batches and best-epoch selection.
 
-    Keeps the parameters of the epoch with the best validation metric.
+    Keeps the parameters of the epoch with the best validation metric; a
+    later epoch replaces them only if it is strictly better.
     With zero epochs the initial parameters come back untouched (their
     validation metric is still measured, so selection stays well defined).
     A non-finite loss, gradient, or activation raises DivergenceError, whose
@@ -290,6 +286,7 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
     # of the best epoch are kept without a copy
     best = TrainResult(params=params, history=[])
     state = init_opt_state(params, lr=hyper.lr, weight_decay=hyper.weight_decay)
+    sign = VAL_METRIC[spec.task][1]
     where = "before the first epoch"
     try:
         best.best_val = _val_metric(spec, params, val_data)
@@ -312,7 +309,7 @@ def train_one(spec: ModelSpec, train_data: ArrayData, val_data: ArrayData,
             where = f"at epoch {epoch}, in validation"
             val = _val_metric(spec, params, val_data)
             best.history.append({"epoch": epoch, "train_loss": float(train_loss), "val_metric": float(val)})
-            if _is_better(spec.task, val, best.best_val):
+            if sign * val > sign * best.best_val:
                 best.best_val = float(val)
                 best.params = params
     except NumericError as exc:
@@ -410,12 +407,13 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
     rows = fan_out(run_job, jobs)
 
     selected_params: dict[int, dict] = {}
+    metric_name, sign = VAL_METRIC[spec.task]
     for f in range(k):
         fold_rows = [row for row in rows if row["fold"] == f and row["status"] == "ok"]
         if not fold_rows:
             continue
-        # max and min keep the first of equal metrics, as _is_better does
-        best_row = (max if spec.task == "classification" else min)(fold_rows, key=lambda row: row["val_metric"])
+        # max keeps the first of equal metrics
+        best_row = max(fold_rows, key=lambda row: sign * row["val_metric"])
         best_row["selected"] = True
         selected_params[f] = best_row["_params"]
 
@@ -435,7 +433,7 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
         "n_pool": pool_data.n,
         "n_test": test_data.n,
         "fold_of": {s.episode_id: int(fold_of[i]) for i, s in enumerate(pool_series)},
-        "val_metric_name": val_metric_name(spec.task),
+        "val_metric_name": metric_name,
         "rows": rows,
         "aggregate": aggregate,
         "failed_runs": sum(1 for row in rows if row["status"] == "failed"),

@@ -530,15 +530,9 @@ def test_config_problem_loads_no_data(tmp_path, capsys, monkeypatch, source):
     assert loads == []
 
 
-@pytest.mark.parametrize("force", [False, True], ids=["", "force"])
-@pytest.mark.parametrize("command", ["gen", "train", "sweep", "encode"])
-def test_out_of_the_wrong_kind_is_refused_before_loading(run_dir, tmp_path, capsys, monkeypatch, command, force):
-    # gen, train and sweep write into a directory, encode writes a file
-    out = tmp_path / "out"
-    if command == "encode":
-        out.mkdir()
-    else:
-        out.write_text("kept\n")
+def refused_out(run_dir, tmp_path, capsys, monkeypatch, command, out, force) -> str:
+    """The stderr of ``command`` run with ``--out out``, after checking that it
+    failed and loaded, generated and read nothing."""
     times = tmp_path / "times.csv"
     times.write_text("t\n0.5\n")
     config = {"gen": {"synth": SYNTH, "n_episodes": 5}, "train": TRAIN_CONFIG, "sweep": {"run_dir": run_dir},
@@ -549,10 +543,34 @@ def test_out_of_the_wrong_kind_is_refused_before_loading(run_dir, tmp_path, caps
     args = [command, "--config", write_config(tmp_path, config), "--out", str(out)] + ["--force"] * force
     code, _, stderr = run(args, capsys)
     assert code == 1
+    assert loads == []
+    return stderr
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["", "force"])
+@pytest.mark.parametrize("command", ["gen", "train", "sweep", "encode"])
+def test_out_of_the_wrong_kind_is_refused_before_loading(run_dir, tmp_path, capsys, monkeypatch, command, force):
+    # gen, train and sweep write into a directory, encode writes a file
+    out = tmp_path / "out"
+    if command == "encode":
+        out.mkdir()
+    else:
+        out.write_text("kept\n")
+    stderr = refused_out(run_dir, tmp_path, capsys, monkeypatch, command, out, force)
     kind = "is a directory" if command == "encode" else "is not a directory"
     assert stderr == f"error: {out} exists and {kind}\n"
-    assert loads == []
     assert out.is_dir() if command == "encode" else out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+@pytest.mark.parametrize("command", ["gen", "train", "sweep", "encode"])
+def test_out_below_a_file_is_refused_before_loading(run_dir, tmp_path, capsys, monkeypatch, command, below):
+    runfile = tmp_path / "runfile"
+    runfile.write_text("kept\n")
+    out = runfile / below
+    stderr = refused_out(run_dir, tmp_path, capsys, monkeypatch, command, out, force=True)
+    assert stderr == f"error: cannot write {out}: {runfile} is not a directory\n"
+    assert runfile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("name", ["data.csv", "labels.csv"])

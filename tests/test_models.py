@@ -90,6 +90,12 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="te_cfg"):
             spec_of("lstm", te_mode="none", te_cfg=TE8)
 
+    @pytest.mark.parametrize("mode", ["cat_te", "add_te"])
+    def test_te_cfg_must_be_temporal(self, mode):
+        # te_batch embeds hours since an observation, which needs a temporal base
+        with pytest.raises(ValueError, match="^te_cfg must be a temporal encoder, got base_kind 'positional'$"):
+            spec_of("lstm", te_mode=mode, te_cfg=EncoderConfig.positional(8))
+
     def test_add_te_needs_recurrent_and_matching_dim(self):
         with pytest.raises(ValueError, match="add_te"):
             spec_of("mlp", te_mode="add_te", te_cfg=TE8)
@@ -644,8 +650,10 @@ class TestFanOutWorkers:
         assert time.monotonic() - begun < 15
         assert sorted(int(i) for (i,) in records(tmp_path / "ran")) == [0, 3]
 
-    def test_a_failing_worker_kills_the_groups_after_it(self, monkeypatch, tmp_path):
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
+    def test_a_failing_worker_raises_after_the_groups_before_it(self, monkeypatch, tmp_path):
         monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+        before = len(os.listdir("/proc/self/fd"))
 
         def pid_of(i):
             seen = records(tmp_path / f"pid{i}")
@@ -656,27 +664,24 @@ class TestFanOutWorkers:
             if i in (4, 6):
                 record(tmp_path / f"pid{i}", os.getpid())
             if i == 0:
-                # once item 6 runs, let item 4 fail, then wait until its
-                # worker has sent the failure and exited (WNOWAIT leaves it
-                # unreaped)
+                # once item 6 runs, let item 4 fail, wait until its worker has
+                # sent the failure and exited (WNOWAIT leaves it unreaped), and
+                # only then let item 3 fail
                 wait_for(lambda: pid_of(6))
-                (tmp_path / "go").touch()
+                (tmp_path / "go4").touch()
                 wait_for(lambda: pid_of(4) and os.waitid(os.P_PID, pid_of(4),
                                                          os.WEXITED | os.WNOHANG | os.WNOWAIT))
-            elif i == 1:
-                # the caller saw that failure between its items and killed
-                # the worker after it, but not the one before it
-                with pytest.raises(ProcessLookupError):
-                    os.kill(pid_of(6), 0)
+                (tmp_path / "go3").touch()
             elif i == 2:
                 time.sleep(0.5)
             elif i == 3:
+                wait_for((tmp_path / "go3").exists)
                 raise KeyError("item 3")
             elif i == 4:
-                wait_for((tmp_path / "go").exists)
+                wait_for((tmp_path / "go4").exists)
                 raise KeyError("item 4")
             elif i == 6:
-                time.sleep(30)
+                time.sleep(30)  # killed, not waited for
             return i
 
         # groups [0, 1], [2, 3], [4, 5] and [6, 7]: item 4 fails first, and
@@ -686,48 +691,9 @@ class TestFanOutWorkers:
             models.fan_out(job, list(range(8)))
         assert time.monotonic() - begun < 15
         assert sorted(int(i) for (i,) in records(tmp_path / "ran")) == [0, 1, 2, 3, 4, 6]
-
-    def test_a_failing_worker_kills_the_groups_after_it_while_the_caller_waits(
-            self, monkeypatch, tmp_path):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
-
-        def pid_of(i):
-            seen = records(tmp_path / f"pid{i}")
-            return int(seen[0][0]) if seen else None
-
-        def killed(pid):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True
-            return False
-
-        def job(i):
-            record(tmp_path / "ran", i)
-            if i == 6:
-                record(tmp_path / "pid6", os.getpid())
-                time.sleep(30)
-            elif i == 2:
-                # the caller has run its group and waits for the workers:
-                # once item 6 runs, let item 4 fail, and go on only when the
-                # caller has killed and reaped item 6's worker
-                wait_for(lambda: pid_of(6))
-                (tmp_path / "go").touch()
-                wait_for(lambda: killed(pid_of(6)))
-            elif i == 3:
-                raise KeyError("item 3")
-            elif i == 4:
-                wait_for((tmp_path / "go").exists)
-                raise KeyError("item 4")
-            return i
-
-        # groups [0, 1], [2, 3], [4, 5] and [6, 7]: item 4 fails first, and
-        # item 3, which fails later, is the first failure in item order
-        begun = time.monotonic()
-        with pytest.raises(KeyError, match="item 3"):
-            models.fan_out(job, list(range(8)))
-        assert time.monotonic() - begun < 15
-        assert sorted(int(i) for (i,) in records(tmp_path / "ran")) == [0, 1, 2, 3, 4, 6]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestLossAndBackward:

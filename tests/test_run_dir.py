@@ -411,6 +411,9 @@ EXPERIMENT_DAMAGE = {
     "te-cfg-key": (_with_spec(te_mode="cat_te", te_cfg={"dim": 4, "scale": 1.0}),
                    "model spec.te_cfg: unknown keys ['scale']"),
     "spec-key": (_with_spec(depth=3), "model spec: unknown keys ['depth']"),
+    "te-cfg-positional": (_with_spec(te_mode="cat_te", te_cfg={"dim": 4, "max_time": 10000.0,
+                                                               "base_kind": "positional"}),
+                          "te_cfg must be a temporal encoder, got base_kind 'positional'"),
     "spec-list": (_with("spec", []), "model spec must be an object, got []"),
     "window": (_with("window", "12"), "window must be a finite number > 0, got '12'"),
     "bin-width": (_with("bin_width", 0), "bin_width must be a finite number > 0, got 0"),

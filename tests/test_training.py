@@ -35,8 +35,8 @@ from tembed.training import (
     run_cv,
     sweep_dropout,
     sweep_to_csv,
+    VAL_METRIC,
     train_one,
-    val_metric_name,
 )
 
 WINDOW = 12.0
@@ -451,8 +451,56 @@ class TestEvaluate:
                                 "non-finite activation in layer 'output'"]
 
     def test_val_metric_names(self):
-        assert val_metric_name("classification") == "auc_roc"
-        assert val_metric_name("regression") == "mae_days"
+        assert VAL_METRIC["classification"][0] == "auc_roc"
+        assert VAL_METRIC["regression"][0] == "mae_days"
+
+
+# validation values with ties: the initial one ties the first epoch's, and
+# the best one comes at epochs 1 and 2
+TIED_VALUES = {"classification": [0.6, 0.6, 0.8, 0.8, 0.7], "regression": [0.6, 0.6, 0.4, 0.4, 0.5]}
+
+
+def _spec_and_batches(corpus, task):
+    spec = LOGREG if task == "classification" else ModelSpec(family="linreg", task="regression")
+    pool, test = (build_features(series, SCHEMA, WINDOW, BIN_WIDTH, spec) for series in corpus)
+    return spec, pool, test
+
+
+class TestBestValidation:
+    """Of equal validation values the earliest wins: an epoch must be
+    strictly better than the best before it, and of a fold's runs the first
+    of the best is selected."""
+
+    @pytest.mark.parametrize("task", list(TIED_VALUES))
+    def test_the_earliest_of_equal_epochs_is_kept(self, corpus, monkeypatch, task):
+        spec, pool, _ = _spec_and_batches(corpus, task)
+        data = prepare(pool, task)
+        values, seen = iter(TIED_VALUES[task]), []
+
+        def scripted(spec, params, data):
+            seen.append(params)
+            return next(values)
+
+        monkeypatch.setattr(training, "_val_metric", scripted)
+        tr, va = two_class_split(data)
+        result = train_one(spec, data.take(tr), data.take(va), Hyper(epochs=4, batch_size=7), seed=0)
+        assert [row["val_metric"] for row in result.history] == TIED_VALUES[task][1:]
+        assert result.best_val == TIED_VALUES[task][2]
+        assert result.params is seen[2]  # epoch 1's parameters
+
+    @pytest.mark.parametrize("task", list(TIED_VALUES))
+    def test_the_earliest_of_equal_runs_is_selected(self, corpus, monkeypatch, task):
+        spec, pool, test = _spec_and_batches(corpus, task)
+        real_train_one = training.train_one
+
+        def scripted(spec, train, val, hyper, seed):
+            result = real_train_one(spec, train, val, hyper, seed)
+            result.best_val = TIED_VALUES[task][seed[2]]
+            return result
+
+        monkeypatch.setattr(training, "train_one", scripted)
+        report, _ = run_cv(spec, pool, test, Hyper(epochs=0), k=2, runs_per_fold=5, base_seed=3)
+        assert [(row["fold"], row["run"]) for row in report["rows"] if row["selected"]] == [(0, 2), (1, 2)]
 
 
 CV_HYPER = Hyper(epochs=2, batch_size=8)
