@@ -1,6 +1,6 @@
 """Shared helpers: deterministic RNG construction, canonical JSON, atomic writes and
-the readers of what they write, number checks and the table-driven reader of JSON
-objects."""
+the readers of what they write, number checks, the table-driven reader of JSON
+objects and the JSON object of a dataclass."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import os
 import secrets
 import sys
 import zipfile
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +115,17 @@ def from_object(cls, what: str, obj):
     if problems:
         raise ValueError("; ".join(problems))
     return built
+
+
+def _json_value(value):
+    return list(value) if isinstance(value, tuple) else value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def to_object(obj) -> dict:
+    """The JSON object of the dataclass ``obj``, the form :func:`from_object` reads: nested
+    dataclasses as objects, tuples and float arrays as lists, and None fields left out."""
+    return asdict(obj, dict_factory=lambda items: {key: _json_value(value) for key, value in items
+                                                   if value is not None})
 
 
 def seed_entropy(seed: int | Sequence[int]) -> list[int]:

@@ -26,11 +26,11 @@ platforms and episodes can be generated in any order or in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import RNG_ALGORITHM, canonical_json, check_int, check_real, from_object, make_rng, sha256_hex
+from ._util import RNG_ALGORITHM, canonical_json, check_int, check_real, from_object, make_rng, sha256_hex, to_object
 from .dataset import ChannelSpec, IrregularSeries, Schema
 
 TASKS = ("timing_classification", "elapsed_regression")
@@ -65,9 +65,6 @@ class SynthConfig:
             raise ValueError(
                 f"gap_threshold_hours must lie in (0, window), got {self.gap_threshold_hours}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
@@ -154,7 +151,7 @@ def gen_dataset(cfg: SynthConfig, n_episodes: int) -> tuple[list[IrregularSeries
         balance = {"positive_rate": float(labels.mean())}
     else:
         balance = {"label_mean": float(labels.mean()), "label_std": float(labels.std())}
-    config_dict = cfg.to_dict()
+    config_dict = to_object(cfg)
     manifest = {
         "config": config_dict,
         "config_hash": sha256_hex(canonical_json({"config": config_dict, "n_episodes": n_episodes}).encode()),

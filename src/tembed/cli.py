@@ -56,6 +56,7 @@ from ._util import (
     from_object,
     open_text,
     read_json_document,
+    to_object,
     write_json_document,
 )
 from .benchgen import SynthConfig, gen_dataset, synth_schema
@@ -168,7 +169,6 @@ EXPERIMENT = {"spec": (REQUIRED, lambda name, spec: ModelSpec.from_dict(spec)), 
               "bin_width": (REQUIRED, POSITIVE), "seed": (REQUIRED, SEED), "test_ids": (REQUIRED, None),
               "selected_folds": (REQUIRED, _fold_numbers),
               **dict.fromkeys(("data", "task", "k", "runs_per_fold", "norm_stats"), (None, None))}
-_EXPERIMENT_KEYS = tuple(key for key, (default, _) in EXPERIMENT.items() if default is REQUIRED)
 
 
 def _load_config(path: str | None, **flags) -> dict:
@@ -217,7 +217,6 @@ def cmd_gen(args) -> int:
     _refuse_existing(out_dir, args.force, directory=True)
     episodes, manifest = gen_dataset(synth, n_episodes)
     schema = synth_schema(synth)
-    os.makedirs(out_dir, exist_ok=True)
     write_csv(episodes, schema, os.path.join(out_dir, DATA_FILE), os.path.join(out_dir, LABELS_FILE))
     save_schema(os.path.join(out_dir, SCHEMA_FILE), schema)
     write_json_document(os.path.join(out_dir, MANIFEST_FILE), manifest)
@@ -324,7 +323,7 @@ def cmd_train(args) -> int:
     experiment = {
         "data": config["data"],
         "task": task,
-        "spec": spec.to_dict(),
+        "spec": to_object(spec),
         "window": window,
         "bin_width": bin_width,
         "seed": seed,
@@ -332,7 +331,7 @@ def cmd_train(args) -> int:
         "runs_per_fold": runs_per_fold,
         "test_ids": sorted(s.episode_id for s in test_raw),
         "selected_folds": sorted(selected),
-        "norm_stats": stats.to_dict(),
+        "norm_stats": to_object(stats),
     }
     write_json_document(os.path.join(out_dir, EXPERIMENT_FILE), experiment)
     for line in report_summary_lines(report):

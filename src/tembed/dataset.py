@@ -28,7 +28,7 @@ import io
 import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from ._util import (
     open_text,
     read_json_document,
     read_npz,
+    to_object,
     write_json_document,
 )
 from .encoding import EncoderConfig, _check_window, te_batch
@@ -111,10 +112,6 @@ class Schema:
                 return i
         raise KeyError(f"unknown channel {name!r}")
 
-    def to_dict(self) -> dict:
-        return {"channels": [{key: value for key, value in asdict(c).items() if value is not None}
-                             for c in self.channels]}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
         channels = check_object("schema document", d, ("channels",), ("channels",))["channels"]
@@ -125,7 +122,7 @@ class Schema:
 
 
 def save_schema(path: str, schema: Schema) -> None:
-    write_json_document(path, schema.to_dict())
+    write_json_document(path, to_object(schema))
 
 
 def load_schema(path: str) -> Schema:
@@ -153,8 +150,17 @@ class IrregularSeries:
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=np.float64)
-        self.channel_idx = np.asarray(self.channel_idx, dtype=np.int64)
+        chans = np.asarray(self.channel_idx)
         self.values = np.asarray(self.values, dtype=np.float64)
+        if self.times.ndim != 1 or chans.ndim != 1 or self.values.ndim != 1:
+            raise ValueError(f"episode {self.episode_id!r}: times, channels, values must be 1-d arrays")
+        if chans.dtype.kind not in "biu":  # an integer array needs no test
+            real = chans.astype(np.float64)
+            bad = ~(np.abs(real) < 2.0**63) | (real != np.trunc(real))  # also NaN, inf and past int64
+            if bad.any():
+                raise ValueError(f"episode {self.episode_id!r}: channel index {float(real[bad][0])!r} "
+                                 "is not an int64 integer")
+        self.channel_idx = chans.astype(np.int64, copy=False)
         n = self.times.shape[0]
         if self.channel_idx.shape[0] != n or self.values.shape[0] != n:
             raise ValueError(
@@ -181,7 +187,9 @@ class IrregularSeries:
                  values: np.ndarray, label: float | None, normalized: bool) -> "IrregularSeries":
         """A series from arrays that already pass ``__post_init__``: equal-length
         float64 times (finite, >= 0, sorted), int64 channels and finite float64
-        values. It skips the checks, which would leave such arrays unchanged."""
+        values. It skips the checks, which would leave such arrays unchanged, and
+        is how the program builds every series from arrays it made or checked
+        itself; ``__post_init__`` checks the arrays of other callers."""
         series = cls.__new__(cls)
         series.episode_id, series.label, series.normalized = episode_id, label, normalized
         series.times, series.channel_idx, series.values = times, channel_idx, values
@@ -221,9 +229,6 @@ class NormStats:
 
     mean: np.ndarray
     std: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"mean": [float(x) for x in self.mean], "std": [float(x) for x in self.std]}
 
 
 @dataclass
@@ -498,6 +503,9 @@ def write_csv(episodes: Sequence[IrregularSeries], schema: Schema, data_path: st
         if ep.episode_id in seen:
             raise ValueError(f"episode {ep.episode_id!r} is given twice; its CSV rows would read back as one episode")
         seen.add(ep.episode_id)
+        if not ep.n_obs:
+            raise ValueError(f"episode {ep.episode_id!r} has no observations, so it would have no CSV "
+                             "rows to read back")
     ids = itertools.chain.from_iterable(itertools.repeat(ep.episode_id, ep.n_obs) for ep in episodes)
     rows = map(",".join, zip(ids, map(repr, times), map(names.__getitem__, chans), map(repr, values)))
     atomic_write_text(data_path, "\n".join(itertools.chain([",".join(DATA_HEADER)], rows)) + "\n")
@@ -525,7 +533,7 @@ def save_episodes(path: str, episodes: Sequence[IrregularSeries], schema: Schema
     if ids.tolist() != [ep.episode_id for ep in episodes]:  # numpy drops trailing NULs
         raise ValueError("episode ids ending in a NUL character cannot be saved")
     columns = _columns_to_write(episodes, schema, labeled=True)
-    meta = {"format_version": EPISODES_FORMAT_VERSION, "schema": schema.to_dict()}
+    meta = {"format_version": EPISODES_FORMAT_VERSION, "schema": to_object(schema)}
     labels = np.array([float(ep.label) for ep in episodes], dtype=np.float64)
     atomic_write_npz(path, meta, {"episode_ids": ids, "labels": labels, **columns})
 
@@ -622,7 +630,9 @@ def apply_norm(series: IrregularSeries, stats: NormStats, schema: Schema) -> Irr
     real = np.take(is_real, chans + 1, mode="clip")
     ch = chans[real]
     values[real] = (values[real] - stats.mean[ch]) / stats.std[ch]
-    return replace(series, times=times, channel_idx=chans, values=values, normalized=True)
+    if not np.isfinite(values).all():  # only stats fitted to values near the float limit do this
+        raise ValueError(f"episode {series.episode_id!r}: non-finite observation value after normalization")
+    return IrregularSeries._checked(series.episode_id, times, chans, values, series.label, True)
 
 
 def _steps_for(window: float, bin_width: float) -> int:
@@ -747,9 +757,12 @@ def _canonical_permutation(episodes: Sequence[IrregularSeries], rng_seed) -> lis
     return [by_id[j] for j in make_rng(rng_seed).permutation(len(by_id))]
 
 
-def _label_groups(episodes: Sequence[IrregularSeries], perm: list[int]) -> list[list[int]]:
-    """Episode indices grouped by label in ascending label order, each
-    group keeping the order of ``perm``."""
+def _split_groups(episodes: Sequence[IrregularSeries], perm: list[int], stratify: bool) -> list[list[int]]:
+    """The groups of episode indices that a split deals from: by label in
+    ascending label order when ``stratify``, each group keeping the order of
+    ``perm``, else ``perm`` as one group."""
+    if not stratify:
+        return [perm]
     groups: dict[float, list[int]] = {}
     for i in perm:
         if episodes[i].label is None:
@@ -776,9 +789,7 @@ def split_folds(
     if len(episodes) < k:
         raise ValueError(f"cannot split {len(episodes)} episodes into {k} folds")
     perm = _canonical_permutation(episodes, rng_seed)
-
-    ordered = [i for group in _label_groups(episodes, perm) for i in group] if stratify else perm
-
+    ordered = [i for group in _split_groups(episodes, perm, stratify) for i in group]
     fold = np.empty(len(episodes), dtype=np.int64)
     for position, i in enumerate(ordered):
         fold[i] = position % k
@@ -797,14 +808,9 @@ def train_test_split(
     if not episodes:
         raise ValueError("cannot split an empty set of episodes")
     perm = _canonical_permutation(episodes, rng_seed)
-    if stratify:
-        test_idx: set[int] = set()
-        for members in _label_groups(episodes, perm):
-            n_test = int(round(len(members) * test_fraction))
-            test_idx.update(members[:n_test])
-    else:
-        n_test = int(round(len(perm) * test_fraction))
-        test_idx = set(perm[:n_test])
+    test_idx: set[int] = set()
+    for members in _split_groups(episodes, perm, stratify):
+        test_idx.update(members[: int(round(len(members) * test_fraction))])
     if not test_idx:
         test_idx = {perm[0]}
     if len(test_idx) == len(episodes):

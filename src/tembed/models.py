@@ -41,11 +41,11 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import atomic_write_npz, check_int, check_object, check_real, from_object, make_rng, read_npz
+from ._util import atomic_write_npz, check_int, check_object, check_real, from_object, make_rng, read_npz, to_object
 from .encoding import EncoderConfig
 from .encoding import te_batch  # noqa: F401  (perfbench/spans.py TARGETS wraps this name)
 
@@ -141,10 +141,6 @@ class ModelSpec:
     @property
     def recurrent(self) -> bool:
         return self.family in ("lstm", "sa_lstm")
-
-    def to_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -711,7 +707,7 @@ def save_params(path: str, params: dict, spec: ModelSpec) -> None:
     meta = {
         "format_version": PARAMS_FORMAT_VERSION,
         "tensors": {name: list(arr.shape) for name, arr in sorted(params.items())},
-        "model_spec": spec.to_dict(),
+        "model_spec": to_object(spec),
     }
     atomic_write_npz(path, meta, params)
 

@@ -41,11 +41,11 @@ computes with the same helper.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import canonical_json, check_int, check_real, make_rng, seed_entropy
+from ._util import canonical_json, check_int, check_real, make_rng, seed_entropy, to_object
 from .dataset import (
     BinnedBatch,
     IrregularSeries,
@@ -97,9 +97,6 @@ class Hyper:
         check_real("weight_decay", self.weight_decay, 0, strict=False)
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -425,8 +422,8 @@ def run_cv(spec: ModelSpec, pool: BinnedBatch, test: BinnedBatch,
 
     report = {
         "model": alias(spec),
-        "spec": spec.to_dict(),
-        "hyper": hyper.to_dict(),
+        "spec": to_object(spec),
+        "hyper": to_object(hyper),
         "k": k,
         "runs_per_fold": runs_per_fold,
         "base_seed": base_seed,

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tembed._util import canonical_json
+from tembed._util import canonical_json, to_object
 from tembed.benchgen import (
     SynthConfig,
     expected_count_bounds,
@@ -56,7 +56,7 @@ class TestConfig:
             SynthConfig(**kw)
 
     def test_dict_round_trip(self):
-        assert SynthConfig.from_dict(CLS.to_dict()) == CLS
+        assert SynthConfig.from_dict(to_object(CLS)) == CLS
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -210,7 +210,7 @@ class TestManifest:
     def test_manifest_records_provenance(self):
         _, m = gen_dataset(CLS, 12)
         assert m["n_episodes"] == 12
-        assert m["config"] == CLS.to_dict()
+        assert m["config"] == to_object(CLS)
         assert m["rng_algorithm"] == "philox-4x64"
         assert "episode_seed_rule" in m
         assert len(m["config_hash"]) == 64

@@ -11,7 +11,7 @@ import pytest
 
 from tembed import cli, training
 from tembed.cli import main
-from tembed.dataset import load_csv, load_schema
+from tembed.dataset import load_csv, load_episodes, load_schema
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import load_params
 
@@ -104,6 +104,17 @@ class TestGen:
         code, _, stderr = run(["gen", "--config", path], capsys)
         assert code == 1
         assert "not valid JSON" in stderr
+
+    def test_refuses_an_episode_without_observations_and_leaves_no_directory(self, tmp_path, capsys):
+        # its label row would have no data row, and `tembed train` on the directory would fail
+        sparse = {"n_channels": 1, "rate_per_hour": 0.02, "window_hours": 48.0,
+                  "task": "timing_classification", "gap_threshold_hours": 6.0, "rng_seed": 0}
+        out = tmp_path / "data"
+        cfg = write_config(tmp_path, {"synth": sparse, "n_episodes": 50, "out": str(out)})
+        code, stdout, stderr = run(["gen", "--config", cfg], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: episode 'ep000000' has no observations, so it would have no CSV rows to read back\n"
+        assert not out.exists()
 
     def test_bad_synth_values_reported(self, tmp_path, capsys):
         bad = dict(SYNTH, rate_per_hour=-1.0)
@@ -276,6 +287,18 @@ class TestTrain:
         assert code == 1
         assert "data.data_csv: file not found" in stderr
         assert "data.schema: file not found" in stderr
+
+    def test_a_synth_source_may_hold_episodes_without_observations(self, tmp_path, capsys):
+        # no CSV is written, so such an episode trains, is saved in the test set and is swept
+        synth = {"n_channels": 1, "rate_per_hour": 0.15, "window_hours": 12.0, "task": "elapsed_regression",
+                 "gap_threshold_hours": 3.0, "rng_seed": 7}
+        out = str(tmp_path / "run")
+        cfg = write_config(tmp_path, dict(TRAIN_CONFIG, data={"synth": synth, "n_episodes": 40}, task="regression",
+                                          model={"family": "linreg"}, out=out))
+        assert run(["train", "--config", cfg], capsys)[0] == 0
+        test, _ = load_episodes(os.path.join(out, "test_episodes.npz"))
+        assert any(ep.n_obs == 0 for ep in test)
+        assert run(["sweep", "--run-dir", out], capsys)[0] == 0
 
     def test_trains_from_generated_directory(self, tmp_path, capsys):
         data_dir = str(tmp_path / "data")

@@ -10,7 +10,6 @@ lines. Block sizes are drawn small so that most files span several blocks.
 """
 
 import csv
-import dataclasses
 import locale
 import math
 import re
@@ -404,14 +403,19 @@ def test_write_matches_row_by_row_oracle(tmp_path_factory, data):
     schema = data.draw(schemas())
     episodes = data.draw(episode_lists(schema))
     root = tmp_path_factory.mktemp("w")
+    empty = [e.episode_id for e in episodes if not e.n_obs]
+    for labels in (str(root / "l.csv"), None) if empty else ():
+        # it would have no data row: load_csv would drop it, or refuse its label
+        with pytest.raises(ValueError, match=f"^episode {re.escape(repr(empty[0]))} has no observations"):
+            write_csv(episodes, schema, str(root / "d.csv"), labels)
+        assert not any(root.iterdir())
+    episodes = [e for e in episodes if e.n_obs]
     write_csv(episodes, schema, str(root / "d.csv"), str(root / "l.csv"))
     oracle_write_csv(episodes, schema, str(root / "od.csv"), str(root / "ol.csv"))
     for name in ("d.csv", "l.csv"):
         assert (root / name).read_bytes() == (root / f"o{name}").read_bytes()
-    # an episode without observations writes no data row
-    written = sorted((dataclasses.replace(e, label=None) for e in episodes if e.n_obs),
-                     key=lambda s: s.episode_id)
-    assert_same_series(load_csv(str(root / "d.csv"), schema), written)
+    assert_same_series(load_csv(str(root / "d.csv"), schema, str(root / "l.csv")),
+                       sorted(episodes, key=lambda s: s.episode_id))
 
 
 @pytest.mark.parametrize("bad", ["a,b", "a\rb", "a\nb", '"ab'])

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tembed._util import to_object
 from tembed.dataset import (
     ChannelSpec,
     IrregularSeries,
@@ -138,13 +140,29 @@ class TestIrregularSeries:
         ([2.0, -1e-300], [0, 0], [1.0, 2.0], "negative observation time"),
         ([1.0, 2.0], [0, 0], [1.0, math.nan], "non-finite observation value"),
         ([1.0], [0], [-math.inf], "non-finite observation value"),
+        # arrays it would misread: the int64 cast truncated 0.7 to 0 and wrapped 1e20, and a (1, 2)
+        # times array passed
+        ([0.0, 1.0], [0.7, 1.9], [1.0, 2.0], "channel index 0.7 is not an int64 integer"),
+        ([0.0, 1.0], [0, math.nan], [1.0, 2.0], "channel index nan is not an int64 integer"),
+        ([0.0], [math.inf], [1.0], "channel index inf is not an int64 integer"),
+        ([0.0], [-1e19], [1.0], "channel index -1e+19 is not an int64 integer"),
+        ([0.0], [1e20], [1.0], "channel index 1e+20 is not an int64 integer"),
+        ([[0.0, 1.0]], [1], [1.0], "times, channels, values must be 1-d arrays"),
+        ([0.0, 1.0], [[0, 1]], [1.0, 2.0], "times, channels, values must be 1-d arrays"),
+        ([0.0], [0], [[1.0]], "times, channels, values must be 1-d arrays"),
+        (0.0, 0, 1.0, "times, channels, values must be 1-d arrays"),
     ])
     def test_rejects_each_bad_input_by_name(self, times, chans, vals, match):
-        with pytest.raises(ValueError, match=f"episode 'e1': {match}"):
-            series(times=times, chans=chans, vals=vals)
+        with pytest.raises(ValueError, match=f"^episode 'e1': {re.escape(match)}$"):
+            IrregularSeries("e1", times, chans, vals)
 
     def test_empty_episode_is_valid(self):
         assert series().n_obs == 0
+
+    def test_integer_channel_indices_of_any_dtype_are_taken(self):
+        for chans in ([0.0, 1.0], np.array([0, 1], dtype=np.int32), np.array([0, 1], dtype=np.uint8)):
+            s = IrregularSeries("a", [0.0, 1.0], chans, [1.0, 2.0])
+            assert s.channel_idx.dtype == np.int64 and s.channel_idx.tolist() == [0, 1]
 
 
 class TestCsvRoundTrip:
@@ -162,6 +180,15 @@ class TestCsvRoundTrip:
             npt.assert_array_equal(orig.values, back.values)
             npt.assert_array_equal(orig.channel_idx, back.channel_idx)
             assert orig.label == back.label
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_refuses_an_episode_without_observations(self, tmp_path, labeled):
+        # it would write no data row: load_csv then refuses its label row, or drops it unlabeled
+        eps = [series("a", [1.0], [0], [2.0], label=1.0), series("b", label=0.0), series("c", label=1.0)]
+        data, labels = tmp_path / "d.csv", tmp_path / "l.csv"
+        with pytest.raises(ValueError, match="^episode 'b' has no observations"):
+            write_csv(eps, REAL1, str(data), str(labels) if labeled else None)
+        assert not any(tmp_path.iterdir())
 
     def test_episodes_come_back_id_sorted(self, tmp_path):
         eps = [series("z", [1.0], [0], [1.0]), series("a", [1.0], [0], [2.0])]
@@ -319,10 +346,28 @@ class TestNormalization:
         npt.assert_array_equal(eps[0].values, [1.0, 3.0])
         assert not eps[0].normalized
 
+    def test_a_value_that_standardizes_to_a_non_finite_number_is_refused(self):
+        # stats fitted to values near the float limit can do this
+        stats = NormStats(mean=np.array([-1e308]), std=np.array([1e-10]))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^episode 'a': non-finite observation value after normalization$"):
+            apply_norm(series("a", [1.0], [0], [1e308]), stats, REAL1)
+
+    def test_apply_norm_gives_the_arrays_the_constructor_gives(self):
+        s = series("a", [0.5, 1.0, 2.0], [0, 1, 1], [9.0, 2.0, 0.0], label=1.0)
+        out = apply_norm(s, fit_norm([s], MIXED), MIXED)
+        want = IrregularSeries(out.episode_id, out.times.copy(), out.channel_idx.copy(),
+                               out.values.copy(), out.label, True)
+        for name in ("times", "channel_idx", "values"):
+            got, ref = getattr(out, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert not np.shares_memory(got, getattr(s, name))
+        assert (out.episode_id, out.label, out.normalized) == ("a", 1.0, True)
+
     def test_stats_serialize_round_trip(self):
         # experiment.json records the stats as JSON numbers; they keep every bit
         stats = NormStats(mean=np.array([1.0, 0.1]), std=np.array([3.0, 1 / 3]))
-        back = json.loads(json.dumps(stats.to_dict()))
+        back = json.loads(json.dumps(to_object(stats)))
         npt.assert_array_equal(back["mean"], stats.mean)
         npt.assert_array_equal(back["std"], stats.std)
 
@@ -618,6 +663,14 @@ class TestSplits:
         pool = [series(f"e{i}", [1.0], [0], [1.0]) for i in range(10)]
         with pytest.raises(ValueError, match="label"):
             train_test_split(pool, 0.2, rng_seed=0)
+
+    def test_unstratified_train_test_split_takes_the_head_of_the_permutation(self):
+        # pinned ids: one group of every episode, labels ignored, so none is needed
+        for label in (None, 1.0):
+            pool = [series(f"e{i:02d}", [1.0], [0], [1.0], label=label) for i in range(20)]
+            train, test = train_test_split(pool, 0.25, rng_seed=[7, 1], stratify=False)
+            assert [e.episode_id for e in test] == ["e00", "e02", "e07", "e10", "e17"]
+            assert len(train) == 15
 
     @pytest.mark.parametrize("stratify", [True, False])
     def test_train_test_split_rejects_empty_pool(self, stratify):

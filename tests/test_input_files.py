@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tembed._util import to_object
 from tembed.dataset import LABEL_HEADER, load_labels, load_schema
 
 # fields never hold a comma, quote or line break, so a line splits on commas
@@ -129,6 +130,7 @@ def oracle_schema_error(doc):
 
 @settings(max_examples=300)
 @given(doc=DOCUMENTS)
+@example(doc={"channels": [{"name": "a", "kind": "real"}, {"name": "b", "kind": "categorical", "cardinality": 3}]})
 @example(doc={"channels": [{"name": ["a"], "kind": "real"}]})
 @example(doc={"channels": [{"name": 5, "kind": "real"}]})
 @example(doc={"channels": [{"name": "a", "kind": "real"}, {"name": "a", "kind": "real"}]})
@@ -138,7 +140,7 @@ def test_schema_documents_load_or_name_the_bad_entry(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     expected = oracle_schema_error(doc)
     if expected is None:
-        assert load_schema(str(path)).to_dict()["channels"] == [
+        assert to_object(load_schema(str(path)))["channels"] == [
             {key: entry[key] for key in ("name", "kind", "cardinality") if entry.get(key) is not None}
             for entry in doc["channels"]]
     else:

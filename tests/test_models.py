@@ -16,6 +16,7 @@ import pytest
 
 from conftest import record, records
 from tembed import models
+from tembed._util import to_object
 from tembed.encoding import EncoderConfig, te_batch
 from tembed.models import (
     _BLOCK,
@@ -114,7 +115,7 @@ class TestModelSpec:
             spec_of("mlp", task="regression"),
             spec_of("lstm", te_mode="cat_te", te_cfg=TE8),
         ):
-            assert ModelSpec.from_dict(spec.to_dict()) == spec
+            assert ModelSpec.from_dict(to_object(spec)) == spec
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tembed import cli, models
+from tembed._util import REQUIRED
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.cli import main
 from tembed.dataset import (
@@ -407,7 +408,8 @@ def _with_spec(**entries):
 
 
 EXPERIMENT_DAMAGE = {
-    **{f"no-{key}": (_without(key), f"missing keys ['{key}']") for key in cli._EXPERIMENT_KEYS},
+    **{f"no-{key}": (_without(key), f"missing keys ['{key}']")
+       for key, (default, _) in cli.EXPERIMENT.items() if default is REQUIRED},
     "te-cfg-key": (_with_spec(te_mode="cat_te", te_cfg={"dim": 4, "scale": 1.0}),
                    "model spec.te_cfg: unknown keys ['scale']"),
     "spec-key": (_with_spec(depth=3), "model spec: unknown keys ['depth']"),

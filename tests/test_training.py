@@ -14,6 +14,7 @@ import pytest
 
 from conftest import record, records
 from tembed import models, training
+from tembed._util import to_object
 from tembed.benchgen import SynthConfig, gen_dataset, synth_schema
 from tembed.dataset import ChannelSpec, IrregularSeries, Schema, drop_observations
 from tembed.encoding import EncoderConfig, te_batch
@@ -99,8 +100,8 @@ class TestHyper:
         with pytest.raises(dataclasses.FrozenInstanceError):
             Hyper().lr = 0.5
 
-    def test_to_dict(self):
-        assert Hyper(lr=0.01, epochs=3).to_dict() == {
+    def test_to_object(self):
+        assert to_object(Hyper(lr=0.01, epochs=3)) == {
             "lr": 0.01, "epochs": 3, "batch_size": 100, "weight_decay": 1e-2,
         }
 

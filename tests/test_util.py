@@ -1,4 +1,5 @@
-"""Seeded generators, atomic file writers, and the number and JSON-object checks."""
+"""Seeded generators, atomic file writers, the number and JSON-object checks, and the JSON
+object of a dataclass."""
 
 import os
 
@@ -8,7 +9,11 @@ import pytest
 
 from tembed import _util
 from tembed._util import atomic_write_bytes, atomic_write_npz, atomic_write_text, make_rng
+from tembed.benchgen import SynthConfig
+from tembed.dataset import ChannelSpec, NormStats, Schema
 from tembed.encoding import EncoderConfig
+from tembed.models import AttentionSpec, ModelSpec
+from tembed.training import Hyper
 
 
 def test_int_and_single_item_seeds_draw_the_same_stream():
@@ -96,3 +101,31 @@ def test_from_object_checks_fields_then_prefixes_the_constructor_error():
         _util.from_object(EncoderConfig, "enc", {"dim": 4, "max_time": 8.0, "scale": 1})
     with pytest.raises(ValueError, match=r"^enc: dim must be an even integer >= 2, got 3$"):
         _util.from_object(EncoderConfig, "enc", {"dim": 3, "max_time": 8.0})
+
+
+TE8 = {"dim": 8, "max_time": 48.0, "base_kind": "temporal"}
+DEFAULT_WIDTHS = {"head_widths": [32, 32, 16], "mlp_widths": [64, 64, 32, 16]}
+
+
+@pytest.mark.parametrize("obj,want", [
+    (ModelSpec("lstm", "classification", hidden=8, te_mode="cat_te", te_cfg=EncoderConfig.temporal(8, 48.0)),
+     {"family": "lstm", "task": "classification", "hidden": 8, **DEFAULT_WIDTHS, "te_mode": "cat_te",
+      "te_cfg": TE8}),
+    (ModelSpec("mlp", "regression", mlp_widths=(16, 8), te_mode="mask"),
+     {"family": "mlp", "task": "regression", "hidden": 0, "head_widths": [32, 32, 16], "mlp_widths": [16, 8],
+      "te_mode": "mask"}),
+    (ModelSpec("sa_lstm", "classification", hidden=8, te_mode="add_te", te_cfg=EncoderConfig.temporal(8, 48.0),
+               attention=AttentionSpec(d_a=4, r=2)),
+     {"family": "sa_lstm", "task": "classification", "hidden": 8, **DEFAULT_WIDTHS, "te_mode": "add_te",
+      "te_cfg": TE8, "attention": {"d_a": 4, "r": 2, "penalty_c": 1e-4}}),
+    (Schema((ChannelSpec("hr", "real"), ChannelSpec("rhythm", "categorical", 3))),
+     {"channels": [{"name": "hr", "kind": "real"}, {"name": "rhythm", "kind": "categorical", "cardinality": 3}]}),
+    (SynthConfig(n_channels=4, rng_seed=2),
+     {"n_channels": 4, "rate_per_hour": 0.5, "window_hours": 48.0, "task": "timing_classification",
+      "gap_threshold_hours": 6.0, "rng_seed": 2, "value_mix": False}),
+    (Hyper(lr=0.01, epochs=3), {"lr": 0.01, "epochs": 3, "batch_size": 100, "weight_decay": 0.01}),
+    (NormStats(mean=np.array([1.0, 0.1]), std=np.array([3.0, 1 / 3])), {"mean": [1.0, 0.1], "std": [3.0, 1 / 3]}),
+], ids=["lstm-cat_te", "mlp-mask", "sa_lstm-add_te", "schema", "synth", "hyper", "norm-stats"])
+def test_to_object_gives_lists_and_leaves_none_fields_out(obj, want):
+    assert _util.to_object(obj) == want  # a tuple never equals a list, and an array is no single bool
+
